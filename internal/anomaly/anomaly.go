@@ -149,6 +149,26 @@ func (e *Envelope) Compile() *Compiled {
 // NumFeatures returns the compiled envelope's feature width.
 func (c *Compiled) NumFeatures() int { return c.n }
 
+// Resolve applies the operator's cascade-threshold knob to an optional
+// envelope: a nil envelope or override < 0 disables the stage-0 cascade
+// (nil result), 0 keeps the envelope's calibrated threshold and > 0
+// replaces it. An enabled envelope is validated and compiled; checking
+// its width against the served model is left to the caller, whose rule
+// for a mismatch differs by tier.
+func Resolve(e *Envelope, override float64) (*Compiled, float64, error) {
+	if e == nil || override < 0 {
+		return nil, 0, nil
+	}
+	if err := e.Validate(); err != nil {
+		return nil, 0, err
+	}
+	threshold := e.Threshold
+	if override > 0 {
+		threshold = override
+	}
+	return e.Compile(), threshold, nil
+}
+
 // Score returns the sample's anomaly score; see Envelope.Score. 0 allocs.
 func (c *Compiled) Score(features []float64) float64 {
 	var worst float64

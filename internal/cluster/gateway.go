@@ -5,11 +5,12 @@
 // (agent, app) stream to a shard by consistent hash and relays samples up
 // and verdicts back.
 //
-// The gateway reuses the internal/session stream engine for its hot path:
-// the same drop-oldest ingress ring, unsheddable control queue and
-// adaptive micro-batch worker loop that internal/serve scores with, but
-// with a forwarding handler instead of a scoring one. One copy of the
-// per-stream machinery, two tiers (DESIGN §12).
+// The gateway runs on the internal/session wire front-end and stream
+// engine: the same accept loop, handshake, read loop, drop-oldest ingress
+// ring, unsheddable control queue and adaptive micro-batch worker loop
+// that internal/serve scores with, but with a forwarding handler instead
+// of a scoring one. One copy of the per-connection machinery, two tiers
+// (DESIGN §12).
 //
 // Placement: streams route on a consistent-hash ring with virtual nodes
 // (see Ring) keyed by RouteKey(agent, app), over the currently healthy
@@ -36,7 +37,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"sync"
@@ -52,9 +52,6 @@ import (
 	"twosmart/internal/wire"
 	"twosmart/internal/workload"
 )
-
-// handshakeTimeout bounds the agent-side Hello/Welcome exchange.
-const handshakeTimeout = 10 * time.Second
 
 // Config configures a Gateway.
 type Config struct {
@@ -169,8 +166,8 @@ type shardMetrics struct {
 type Gateway struct {
 	cfg Config
 
-	ln net.Listener
-	wg sync.WaitGroup
+	ln    net.Listener
+	front session.Front
 
 	routeP  atomic.Pointer[routeState]
 	welcome atomic.Pointer[wire.Welcome] // shard Welcome template for agent handshakes
@@ -182,17 +179,11 @@ type Gateway struct {
 	perSh    map[string]*shardMetrics
 	versions map[string]uint32 // live per-shard model version, fed by heartbeat echoes
 
-	connsActive    telemetry.Gauge
-	connsTotal     telemetry.Counter
-	samplesIn      telemetry.Counter
-	shed           telemetry.Counter
-	protoErrs      telemetry.Counter
 	rerouted       telemetry.Counter
 	drained        telemetry.Counter
 	dropped        telemetry.Counter
 	shardsHealthy  telemetry.Gauge
 	memberChanges  telemetry.Counter
-	batchSize      telemetry.Histogram
 	healthFailures telemetry.Counter
 	canaryStreams  telemetry.Counter
 	canarySamples  telemetry.Counter
@@ -200,7 +191,6 @@ type Gateway struct {
 	// edge cascade, resolved at New (nil = disabled). The cascade_*
 	// instruments exist only on a cascade-running gateway.
 	cascade          *anomaly.Compiled
-	cascadeWidth     int
 	cascadeThreshold float64
 	cascadeWarn      sync.Once
 	cascadeShort     telemetry.Counter
@@ -208,9 +198,6 @@ type Gateway struct {
 	cascadeNanos     telemetry.Counter
 	cascadeSamples   telemetry.Counter
 }
-
-// batchSizeBuckets mirrors serve's adaptive micro-batch histogram layout.
-var batchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
 
 // New validates the configuration and builds a gateway. Call Listen then
 // Serve.
@@ -226,31 +213,40 @@ func New(cfg Config) (*Gateway, error) {
 		probes:         make(map[string]*serve.Client, len(filled.Shards)),
 		perSh:          make(map[string]*shardMetrics, len(filled.Shards)),
 		versions:       make(map[string]uint32, len(filled.Shards)),
-		connsActive:    reg.Gauge("cluster_connections_active"),
-		connsTotal:     reg.Counter("cluster_connections_total"),
-		samplesIn:      reg.Counter("cluster_samples_total"),
-		shed:           reg.Counter("cluster_shed_total"),
-		protoErrs:      reg.Counter("cluster_protocol_errors_total"),
 		rerouted:       reg.Counter("cluster_streams_rerouted_total"),
 		drained:        reg.Counter("cluster_streams_drained_total"),
 		dropped:        reg.Counter("cluster_samples_dropped_total"),
 		shardsHealthy:  reg.Gauge("cluster_shards_healthy"),
 		memberChanges:  reg.Counter("cluster_membership_changes_total"),
-		batchSize:      reg.Histogram("cluster_batch_size", batchSizeBuckets),
 		healthFailures: reg.Counter("cluster_health_check_failures_total"),
 		canaryStreams:  reg.Counter("cluster_canary_streams_total"),
 		canarySamples:  reg.Counter("cluster_canary_samples_total"),
 	}
-	if filled.Envelope != nil && filled.CascadeThreshold >= 0 {
-		if err := filled.Envelope.Validate(); err != nil {
-			return nil, fmt.Errorf("cluster: cascade envelope: %w", err)
-		}
-		g.cascade = filled.Envelope.Compile()
-		g.cascadeWidth = filled.Envelope.NumFeatures()
-		g.cascadeThreshold = filled.Envelope.Threshold
-		if filled.CascadeThreshold > 0 {
-			g.cascadeThreshold = filled.CascadeThreshold
-		}
+	g.front = session.Front{
+		Tier:       "gateway",
+		Welcome:    g.agentWelcome,
+		Attach:     g.attach,
+		QueueDepth: filled.QueueDepth,
+		// Workers is pinned to 1: the forwarder's upstream map and stream
+		// routing state are worker-owned, and forwarding is I/O-bound — the
+		// per-stream fan-out that pays for scoring would only buy races here.
+		Workers: 1,
+		Metrics: session.FrontMetrics{
+			ConnsActive: reg.Gauge("cluster_connections_active"),
+			ConnsTotal:  reg.Counter("cluster_connections_total"),
+			Reaped:      telemetry.NopCounter, // the gateway sets no idle timeout
+			Samples:     reg.Counter("cluster_samples_total"),
+			Shed:        reg.Counter("cluster_shed_total"),
+			ProtoErrs:   reg.Counter("cluster_protocol_errors_total"),
+			BatchSize:   reg.Histogram("cluster_batch_size", session.BatchSizeBuckets),
+		},
+		Log: filled.Log,
+	}
+	g.cascade, g.cascadeThreshold, err = anomaly.Resolve(filled.Envelope, filled.CascadeThreshold)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: cascade envelope: %w", err)
+	}
+	if g.cascade != nil {
 		g.cascadeShort = reg.Counter("cascade_short_total")
 		g.cascadePass = reg.Counter("cascade_pass_total")
 		g.cascadeNanos = reg.Counter("cascade_stage0_nanos_total")
@@ -490,15 +486,7 @@ func (g *Gateway) Serve(ctx context.Context) error {
 	}
 	g.checkAll(ctx)
 
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			g.ln.Close()
-		case <-stop:
-		}
-	}()
+	hctx, stopHealth := context.WithCancel(ctx)
 	healthDone := make(chan struct{})
 	go func() {
 		defer close(healthDone)
@@ -506,32 +494,16 @@ func (g *Gateway) Serve(ctx context.Context) error {
 		defer t.Stop()
 		for {
 			select {
-			case <-ctx.Done():
+			case <-hctx.Done():
 				return
 			case <-t.C:
-				g.checkAll(ctx)
+				g.checkAll(hctx)
 			}
 		}
 	}()
 
-	for {
-		nc, err := g.ln.Accept()
-		if err != nil {
-			if ctx.Err() != nil {
-				break
-			}
-			g.wg.Wait()
-			<-healthDone
-			return fmt.Errorf("cluster: accept: %w", err)
-		}
-		g.wg.Add(1)
-		go func() {
-			defer g.wg.Done()
-			g.handle(ctx, nc)
-		}()
-	}
-	g.cfg.Log.Info("gateway draining", "reason", context.Cause(ctx))
-	g.wg.Wait()
+	err := g.front.Serve(ctx, g.ln)
+	stopHealth()
 	<-healthDone
 	g.mu.Lock()
 	for s, p := range g.probes {
@@ -539,221 +511,39 @@ func (g *Gateway) Serve(ctx context.Context) error {
 		delete(g.probes, s)
 	}
 	g.mu.Unlock()
+	if err != nil {
+		return fmt.Errorf("cluster: accept: %w", err)
+	}
 	return nil
 }
 
-// gconn is the agent side of one gateway connection: wire transport plus
-// the session engine driving a forwarder.
-type gconn struct {
-	g   *Gateway
-	nc  net.Conn
-	r   *wire.Reader
-	fwd *forwarder
-	eng *session.Engine
-
-	// cascade is the gateway's compiled edge envelope, bound after the
-	// handshake iff its width matches the fleet's feature width (nil
-	// otherwise — the cascade silently disables for this connection).
-	cascade          *anomaly.Compiled
-	cascadeThreshold float64
-
-	wmu sync.Mutex
-	w   *wire.Writer
-
-	readerDone chan struct{}
+// agentWelcome answers an agent's Hello with the fleet's Welcome template
+// (captured from shard probes). With no shard ever seen the gateway cannot
+// promise a feature width, so it refuses the connection with
+// CodeUnavailable and the agent retries later.
+func (g *Gateway) agentWelcome() (wire.Welcome, *wire.Error) {
+	w := g.welcome.Load()
+	if w == nil {
+		return wire.Welcome{}, &wire.Error{Code: wire.CodeUnavailable, Msg: "no healthy shard behind the gateway"}
+	}
+	return *w, nil
 }
 
-func (g *Gateway) handle(ctx context.Context, nc net.Conn) {
-	g.connsTotal.Inc()
-	g.connsActive.Add(1)
-	defer g.connsActive.Add(-1)
-	defer nc.Close()
-	log := g.cfg.Log.With("remote", nc.RemoteAddr().String())
-
-	c := &gconn{
-		g:          g,
-		nc:         nc,
-		w:          wire.NewWriter(nc),
-		readerDone: make(chan struct{}),
-	}
-	agent, err := c.handshake()
-	if err != nil {
-		log.Warn("handshake", "err", err)
-		return
-	}
+// attach builds an agent connection's forwarder. The edge cascade runs
+// on the connection iff the envelope's width matches the Welcome's.
+func (g *Gateway) attach(c *session.Conn, agent string, w wire.Welcome) (session.Handler, func(), error) {
+	fwd := &forwarder{g: g, c: c, agent: agent, ups: make(map[string]*upstream)}
 	if g.cascade != nil {
-		if n := int(g.welcome.Load().NumFeatures); n == g.cascadeWidth {
-			c.cascade = g.cascade
-			c.cascadeThreshold = g.cascadeThreshold
+		if n := int(w.NumFeatures); n == g.cascade.NumFeatures() {
+			fwd.cascade = g.cascade
 		} else {
 			g.cascadeWarn.Do(func() {
 				g.cfg.Log.Warn("edge cascade disabled: envelope width does not match fleet",
-					"envelope", g.cascadeWidth, "fleet", n)
+					"envelope", g.cascade.NumFeatures(), "fleet", n)
 			})
 		}
 	}
-	c.fwd = &forwarder{c: c, agent: agent, ups: make(map[string]*upstream)}
-	// Workers is pinned to 1: the forwarder's upstream map and stream
-	// routing state are worker-owned, and forwarding is I/O-bound — the
-	// per-stream fan-out that pays for scoring would only buy races here.
-	c.eng, err = session.New(session.Config{
-		Handler:    c.fwd,
-		QueueDepth: g.cfg.QueueDepth,
-		Workers:    1,
-		OnReject:   c.reject,
-		BatchSize:  g.batchSize,
-	})
-	if err != nil {
-		log.Error("session", "err", err)
-		return
-	}
-
-	stopWatch := make(chan struct{})
-	defer close(stopWatch)
-	go func() {
-		select {
-		case <-ctx.Done():
-			closeRead(nc)
-		case <-stopWatch:
-		}
-	}()
-
-	workerDone := make(chan struct{})
-	go func() {
-		defer close(workerDone)
-		if err := c.eng.Run(c.readerDone); err != nil {
-			log.Warn("connection worker", "err", err)
-			nc.Close()
-		}
-	}()
-
-	rerr := c.readLoop()
-	close(c.readerDone)
-	<-workerDone
-
-	if ctx.Err() != nil {
-		c.writeFrame(wire.Error{Code: wire.CodeDraining, Msg: "gateway draining"})
-	}
-	c.flush()
-	c.fwd.shutdown()
-	if rerr != nil && !errors.Is(rerr, io.EOF) && ctx.Err() == nil {
-		log.Warn("connection closed", "err", rerr)
-	} else {
-		log.Debug("connection closed")
-	}
-}
-
-func closeRead(nc net.Conn) {
-	type readCloser interface{ CloseRead() error }
-	if rc, ok := nc.(readCloser); ok {
-		rc.CloseRead()
-		return
-	}
-	nc.SetReadDeadline(time.Now())
-}
-
-// handshake accepts the agent's Hello and answers with the fleet's
-// Welcome template (captured from shard probes). With no shard ever seen
-// the gateway cannot promise a feature width, so it refuses the
-// connection with CodeUnavailable and the agent retries later.
-func (c *gconn) handshake() (agent string, err error) {
-	c.nc.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	r := wire.NewReader(c.nc)
-	f, err := r.Next()
-	if err != nil {
-		return "", err
-	}
-	hello, ok := f.(wire.Hello)
-	if !ok {
-		c.writeFrame(wire.Error{Code: wire.CodeProtocol, Msg: "expected Hello"})
-		c.flush()
-		return "", fmt.Errorf("first frame is %T, want Hello", f)
-	}
-	if hello.Proto != wire.ProtoVersion {
-		c.writeFrame(wire.Error{Code: wire.CodeVersion,
-			Msg: fmt.Sprintf("protocol v%d unsupported, gateway speaks v%d", hello.Proto, wire.ProtoVersion)})
-		c.flush()
-		return "", fmt.Errorf("client protocol v%d, want v%d", hello.Proto, wire.ProtoVersion)
-	}
-	w := c.g.welcome.Load()
-	if w == nil {
-		c.writeFrame(wire.Error{Code: wire.CodeUnavailable, Msg: "no healthy shard behind the gateway"})
-		c.flush()
-		return "", errors.New("no shard welcome template yet")
-	}
-	c.nc.SetReadDeadline(time.Time{})
-	c.r = r
-	c.writeFrame(*w)
-	return hello.Agent, c.flush()
-}
-
-// readLoop parses agent frames into the engine until EOF or error —
-// the same shape as the shard's read loop, because the agent cannot tell
-// the tiers apart.
-func (c *gconn) readLoop() error {
-	numFeatures := int(c.g.welcome.Load().NumFeatures)
-	for {
-		f, err := c.r.Next()
-		if err != nil {
-			return err
-		}
-		switch fr := f.(type) {
-		case wire.Sample:
-			if len(fr.Features) != numFeatures {
-				c.g.protoErrs.Inc()
-				c.writeFrame(wire.Error{Code: wire.CodeBadFeatures,
-					Msg: fmt.Sprintf("sample has %d features, model wants %d", len(fr.Features), numFeatures)})
-				c.flush()
-				return fmt.Errorf("sample width %d, want %d", len(fr.Features), numFeatures)
-			}
-			c.g.samplesIn.Inc()
-			// Origin 0: the gateway is the fleet's ingress edge; its own
-			// receive time (the Push timestamp) becomes the stamp the
-			// forwarder puts on the upstream Sample frames.
-			if c.eng.Push(fr.Stream, fr.Seq, 0, time.Now(), fr.Features) {
-				c.g.shed.Inc()
-			}
-		case wire.OpenStream:
-			c.eng.Open(fr.Stream, fr.App)
-		case wire.CloseStream:
-			c.eng.Close(fr.Stream)
-		case wire.Heartbeat:
-			c.writeFrame(fr)
-			c.flush()
-		default:
-			c.g.protoErrs.Inc()
-			c.writeFrame(wire.Error{Code: wire.CodeProtocol, Msg: fmt.Sprintf("unexpected frame type 0x%02x", f.Type())})
-			c.flush()
-			return fmt.Errorf("unexpected frame %T", f)
-		}
-	}
-}
-
-func (c *gconn) reject(id uint32, app string, reason session.RejectReason) {
-	c.g.protoErrs.Inc()
-	switch reason {
-	case session.RejectDupStream:
-		c.writeFrame(wire.Error{Code: wire.CodeBadStream, Msg: fmt.Sprintf("stream %d already open", id)})
-	case session.RejectDupApp:
-		c.writeFrame(wire.Error{Code: wire.CodeBadStream,
-			Msg: fmt.Sprintf("app %q already streamed on this connection", app)})
-	case session.RejectUnknownClose:
-		c.writeFrame(wire.Error{Code: wire.CodeBadStream, Msg: fmt.Sprintf("stream %d not open", id)})
-	case session.RejectUnknownSample:
-		// Counted only, like the shard tier.
-	}
-}
-
-func (c *gconn) writeFrame(f wire.Frame) {
-	c.wmu.Lock()
-	c.w.Write(f)
-	c.wmu.Unlock()
-}
-
-func (c *gconn) flush() error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return c.w.Flush()
+	return fwd, fwd.shutdown, nil
 }
 
 // forwarder is the gateway's session.Handler: it relays each stream's
@@ -761,9 +551,15 @@ func (c *gconn) flush() error {
 // fwdStream methods run on the engine's single worker goroutine; only the
 // per-upstream relay goroutines run beside it.
 type forwarder struct {
-	c     *gconn
+	g     *Gateway
+	c     *session.Conn
 	agent string
 	ups   map[string]*upstream // worker-owned: live upstream per shard
+
+	// cascade is the gateway's compiled edge envelope when its width
+	// matches the fleet's feature width (nil otherwise — the cascade is
+	// disabled for this connection).
+	cascade *anomaly.Compiled
 }
 
 // OpenStream routes the stream and announces it upstream. Routing
@@ -772,8 +568,8 @@ type forwarder struct {
 // connections.
 func (f *forwarder) OpenStream(id uint32, app string) (session.Stream, error) {
 	st := &fwdStream{f: f, id: id, app: app, key: RouteKey(f.agent, app)}
-	if f.c.cascade != nil {
-		reg := f.c.g.cfg.Telemetry
+	if f.cascade != nil {
+		reg := f.g.cfg.Telemetry
 		st.appShort = reg.Counter(telemetry.Label("cascade_app_short_total", "app", app))
 		st.appPass = reg.Counter(telemetry.Label("cascade_app_pass_total", "app", app))
 	}
@@ -790,10 +586,10 @@ func (f *forwarder) RoundEnd() error {
 		}
 		if err := up.cli.Flush(); err != nil {
 			up.fail()
-			f.c.g.cfg.Log.Warn("upstream flush", "shard", shard, "err", err)
+			f.g.cfg.Log.Warn("upstream flush", "shard", shard, "err", err)
 		}
 	}
-	return f.c.flush()
+	return f.c.Flush()
 }
 
 // upstreamFor returns the live upstream connection to shard, dialing one
@@ -806,7 +602,7 @@ func (f *forwarder) upstreamFor(shard string) (*upstream, error) {
 		up.cli.Close()
 		delete(f.ups, shard)
 	}
-	g := f.c.g
+	g := f.g
 	// DialOnce, not Dial: a refused connection must fail the placement
 	// immediately (and refresh the ring via reportFailure) — the agent
 	// retry-on-refused loop would park the engine worker for DialTimeout
@@ -864,7 +660,7 @@ type closeState struct {
 // carrying shard frames back to the agent.
 type upstream struct {
 	g       *Gateway
-	c       *gconn
+	c       *session.Conn
 	shard   string
 	cli     *serve.Client
 	met     *shardMetrics
@@ -917,7 +713,7 @@ func (up *upstream) relay() {
 		}
 		switch fr := f.(type) {
 		case wire.Verdict:
-			up.c.writeFrame(fr)
+			up.c.Write(fr)
 			up.met.relayed.Inc()
 		case wire.StreamSummary:
 			cs := up.takeCloseState(fr.Stream)
@@ -926,7 +722,7 @@ func (up *upstream) relay() {
 			}
 			fr.Shed += cs.shed
 			fr.Samples += cs.short
-			up.c.writeFrame(fr)
+			up.c.Write(fr)
 		case wire.Heartbeat:
 			// Echo of a keepalive; nothing to relay.
 		case wire.Error:
@@ -940,7 +736,7 @@ func (up *upstream) relay() {
 			}
 		}
 		if up.cli.Buffered() == 0 {
-			up.c.flush()
+			up.c.Flush()
 		}
 	}
 }
@@ -966,7 +762,6 @@ type fwdStream struct {
 	shortMask []bool
 	fseqs     []uint32
 	fats      []time.Time
-	forigins  []int64
 	fsamples  [][]float64
 }
 
@@ -977,7 +772,7 @@ type fwdStream struct {
 // upstream, its summary suppressed) and opens on the new shard. Returns
 // nil when no healthy shard can take the stream.
 func (st *fwdStream) ensureRoute() *upstream {
-	g := st.f.c.g
+	g := st.f.g
 	cur := g.route()
 	if st.up != nil && st.epoch == cur.epoch && !st.up.dead.Load() {
 		return st.up
@@ -1036,7 +831,7 @@ func (st *fwdStream) ensureRoute() *upstream {
 // gateway-tier record attributing ring wait, the edge envelope pass,
 // routing/assembly and the upstream write.
 func (st *fwdStream) Process(b session.Batch) error {
-	g := st.f.c.g
+	g := st.f.g
 	fb, shortMask, stage0 := st.cascadeFilter(b)
 	if sl := g.cfg.SampleLog; sl != nil {
 		// Log arrivals at the fleet edge, before routing: replay wants the
@@ -1103,11 +898,11 @@ func (st *fwdStream) Process(b session.Batch) error {
 // forward (b itself when the cascade is off), the per-sample short mask
 // (nil when off) and the wall time the pass took.
 func (st *fwdStream) cascadeFilter(b session.Batch) (session.Batch, []bool, time.Duration) {
-	c := st.f.c
-	if c.cascade == nil {
+	f := st.f
+	if f.cascade == nil {
 		return b, nil, 0
 	}
-	g := c.g
+	g := f.g
 	start := time.Now()
 	n := b.Len()
 	if cap(st.shortMask) < n {
@@ -1116,14 +911,13 @@ func (st *fwdStream) cascadeFilter(b session.Batch) (session.Batch, []bool, time
 	mask := st.shortMask[:n]
 	st.fseqs = st.fseqs[:0]
 	st.fats = st.fats[:0]
-	st.forigins = st.forigins[:0]
 	st.fsamples = st.fsamples[:0]
 	shorts := 0
 	for i, fv := range b.Samples {
-		if c.cascade.Score(fv) <= c.cascadeThreshold {
+		if f.cascade.Score(fv) <= g.cascadeThreshold {
 			mask[i] = true
 			shorts++
-			c.writeFrame(wire.Verdict{
+			f.c.Write(wire.Verdict{
 				Stream: st.id,
 				Seq:    b.Seqs[i],
 				Flags:  wire.FlagShortCircuit,
@@ -1133,7 +927,6 @@ func (st *fwdStream) cascadeFilter(b session.Batch) (session.Batch, []bool, time
 			mask[i] = false
 			st.fseqs = append(st.fseqs, b.Seqs[i])
 			st.fats = append(st.fats, b.Ats[i])
-			st.forigins = append(st.forigins, b.Origins[i])
 			st.fsamples = append(st.fsamples, b.Samples[i])
 		}
 	}
@@ -1143,16 +936,17 @@ func (st *fwdStream) cascadeFilter(b session.Batch) (session.Batch, []bool, time
 	g.cascadePass.Add(uint64(n - shorts))
 	st.appShort.Add(uint64(shorts))
 	st.appPass.Add(uint64(n - shorts))
-	g.cascadeNanos.Add(uint64(maxNanos(elapsed, 0)))
+	g.cascadeNanos.Add(uint64(max(elapsed.Nanoseconds(), 0)))
 	g.cascadeSamples.Add(uint64(n))
 	if shorts == 0 {
 		return b, mask, elapsed
 	}
+	// Origins stay unset: the gateway is the fleet's ingress edge and
+	// stamps its own receive time (Ats) on the frames it forwards.
 	return session.Batch{
 		Samples:   st.fsamples,
 		Seqs:      st.fseqs,
 		Ats:       st.fats,
-		Origins:   st.forigins,
 		DrainedAt: b.DrainedAt,
 	}, mask, elapsed
 }
@@ -1164,7 +958,7 @@ func (st *fwdStream) cascadeFilter(b session.Batch) (session.Batch, []bool, time
 // write(s) (including any failover re-send). HopGateway and HopScore stay
 // zero — the matching shard-tier record owns those.
 func (st *fwdStream) capture(b session.Batch, i int, traceID uint64, sendStart time.Time, stage0 time.Duration, shard string) {
-	g := st.f.c.g
+	g := st.f.g
 	sendEnd := time.Now()
 	at := b.Ats[i]
 	rec := trace.Record{
@@ -1175,22 +969,12 @@ func (st *fwdStream) capture(b session.Batch, i int, traceID uint64, sendStart t
 		Stream:  st.id,
 		Seq:     b.Seqs[i],
 	}
-	rec.Hops[trace.HopQueue] = maxNanos(b.DrainedAt.Sub(at), 0)
-	rec.Hops[trace.HopStage0] = maxNanos(stage0, 0)
-	rec.Hops[trace.HopAssembly] = maxNanos(sendStart.Sub(b.DrainedAt)-stage0, 0)
+	rec.Hops[trace.HopQueue] = max(b.DrainedAt.Sub(at).Nanoseconds(), 0)
+	rec.Hops[trace.HopStage0] = max(stage0.Nanoseconds(), 0)
+	rec.Hops[trace.HopAssembly] = max((sendStart.Sub(b.DrainedAt) - stage0).Nanoseconds(), 0)
 	rec.Hops[trace.HopEmit] = sendEnd.Sub(sendStart).Nanoseconds()
-	for _, h := range rec.Hops {
-		rec.TotalNanos += h
-	}
-	rec.StartNanos = sendEnd.UnixNano() - rec.TotalNanos
+	rec.Finish(sendEnd.UnixNano())
 	g.cfg.Tracer.Add(rec)
-}
-
-func maxNanos(d time.Duration, floor int64) int64 {
-	if n := d.Nanoseconds(); n > floor {
-		return n
-	}
-	return floor
 }
 
 func (st *fwdStream) sendBatch(up *upstream, b session.Batch) error {
@@ -1220,10 +1004,10 @@ func (st *fwdStream) Close(shed uint64) error {
 		up.fail()
 	}
 	var version uint32
-	if w := st.f.c.g.welcome.Load(); w != nil {
+	if w := st.f.g.welcome.Load(); w != nil {
 		version = w.ModelVersion
 	}
-	st.f.c.writeFrame(wire.StreamSummary{
+	st.f.c.Write(wire.StreamSummary{
 		Stream:       st.id,
 		ModelVersion: version,
 		Samples:      st.sent + st.short,

@@ -321,13 +321,24 @@ type Summary struct {
 	MaxSmoothed float64
 }
 
+// Record folds one monitor event into the session summary.
+func (s *Summary) Record(ev Event) {
+	s.Samples++
+	if ev.Changed && ev.Alarm {
+		s.Alarms++
+	}
+	s.AlarmActive = ev.Alarm
+	if ev.Smoothed > s.MaxSmoothed {
+		s.MaxSmoothed = ev.Smoothed
+	}
+}
+
 // Tracker monitors many applications concurrently, one Monitor per
 // application key.
 //
 // Concurrency contract (the per-stream isolation model): the Tracker's
 // own maps and summaries are mutex-guarded, so goroutines may call any
-// method for *different* application keys concurrently — this is how the
-// streaming server fans scoring out across streams. But each
+// method for *different* application keys concurrently. But each
 // application's Monitor (and the scorer the factory created for it) is
 // unsynchronized: concurrent Observe/ObserveBatch/ObserveScored* calls
 // for the *same* application key race on the EWMA state and the scorer's
@@ -392,18 +403,6 @@ func (t *Tracker) monitorFor(app string) (*Monitor, *Summary) {
 	return m, t.stats[app]
 }
 
-// record folds one event into an application's session summary.
-func (t *Tracker) record(st *Summary, ev Event) {
-	st.Samples++
-	if ev.Changed && ev.Alarm {
-		st.Alarms++
-	}
-	st.AlarmActive = ev.Alarm
-	if ev.Smoothed > st.MaxSmoothed {
-		st.MaxSmoothed = ev.Smoothed
-	}
-}
-
 // Observe feeds one sample for the given application. The features slice
 // is only read during the call (see Monitor.Observe for the full aliasing
 // contract), so callers may reuse one buffer across all applications.
@@ -418,7 +417,7 @@ func (t *Tracker) Observe(app string, features []float64) (Event, error) {
 		return Event{}, err
 	}
 	t.mu.Lock()
-	t.record(st, ev)
+	st.Record(ev)
 	t.mu.Unlock()
 	return ev, nil
 }
@@ -434,7 +433,7 @@ func (t *Tracker) ObserveBatch(app string, dst []Event, samples [][]float64) err
 	}
 	t.mu.Lock()
 	for _, ev := range dst {
-		t.record(st, ev)
+		st.Record(ev)
 	}
 	t.mu.Unlock()
 	return nil
@@ -453,18 +452,17 @@ func (t *Tracker) ObserveScoredBatch(app string, dst []Event, scores []float64) 
 	}
 	t.mu.Lock()
 	for _, ev := range dst {
-		t.record(st, ev)
+		st.Record(ev)
 	}
 	t.mu.Unlock()
 	return nil
 }
 
 // OpenWith creates app's monitor around an explicit scorer instead of
-// the tracker's factory. The streaming server uses this to bind each
-// stream to the model generation that was active when the stream opened:
-// it compiles the current detector itself and registers it here, so a
-// later hot swap changes what the factory would produce without touching
-// streams already in flight. It returns false — leaving the existing
+// the tracker's factory, so a caller can bind an application to a
+// scorer it compiled itself (for example from the model generation that
+// was active when the application started) while the factory keeps
+// serving later applications. It returns false — leaving the existing
 // monitor and scorer in place — when app is already tracked. The scorer
 // is subject to the same per-stream ownership contract as the rest of
 // the Tracker API.
@@ -485,9 +483,8 @@ func (t *Tracker) OpenWith(app string, s Scorer) bool {
 
 // ScorerFor returns the scorer instance owned by app's monitor, creating
 // the monitor (through the tracker's factory) on first use. It exists so
-// a caller that needs richer per-sample output than a bare score — the
-// streaming server wants full verdicts via the compiled detector's fused
-// batch path — can reach the same per-application instance the tracker
+// a caller that needs richer per-sample output than a bare score — full
+// verdicts via the compiled detector's fused batch path — can reach the same per-application instance the tracker
 // owns instead of compiling a second one. The returned scorer is subject
 // to the per-stream ownership contract in the Tracker doc comment.
 func (t *Tracker) ScorerFor(app string) Scorer {

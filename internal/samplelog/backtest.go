@@ -213,20 +213,13 @@ func Backtest(ctx context.Context, dir string, candidate *core.Detector, opts Ba
 	if candidate == nil {
 		return res, errors.New("samplelog: nil candidate detector")
 	}
-	var cascadeThreshold float64
-	runCascade := opts.Envelope != nil && opts.CascadeThreshold >= 0
-	if runCascade {
-		if err := opts.Envelope.Validate(); err != nil {
-			return res, fmt.Errorf("samplelog: cascade envelope: %w", err)
-		}
-		if opts.Envelope.NumFeatures() != candidate.NumFeatures() {
-			return res, fmt.Errorf("samplelog: cascade envelope has %d features, candidate wants %d",
-				opts.Envelope.NumFeatures(), candidate.NumFeatures())
-		}
-		cascadeThreshold = opts.Envelope.Threshold
-		if opts.CascadeThreshold > 0 {
-			cascadeThreshold = opts.CascadeThreshold
-		}
+	env, cascadeThreshold, err := anomaly.Resolve(opts.Envelope, opts.CascadeThreshold)
+	if err != nil {
+		return res, fmt.Errorf("samplelog: cascade envelope: %w", err)
+	}
+	if env != nil && env.NumFeatures() != candidate.NumFeatures() {
+		return res, fmt.Errorf("samplelog: cascade envelope has %d features, candidate wants %d",
+			env.NumFeatures(), candidate.NumFeatures())
 	}
 	var records []Record
 	rep, err := ReadDir(dir, func(r Record) error {
@@ -265,10 +258,6 @@ func Backtest(ctx context.Context, dir string, candidate *core.Detector, opts Ba
 		lo := w * chunk
 		hi := min(lo+chunk, len(records))
 		cand := candidate.Compile()
-		var env *anomaly.Compiled
-		if runCascade {
-			env = opts.Envelope.Compile()
-		}
 		st := btStats{perClass: make(map[string]*btClass)}
 		for _, rec := range records[lo:hi] {
 			st.observe(cand, rec)
@@ -289,7 +278,7 @@ func Backtest(ctx context.Context, dir string, candidate *core.Detector, opts Ba
 		return res, fmt.Errorf("samplelog: candidate scored none of %d records (feature width mismatch?)", len(records))
 	}
 	res.Report = total.report(opts.Version)
-	if runCascade {
+	if env != nil {
 		cb := &CascadeBacktest{
 			Threshold:             cascadeThreshold,
 			ShortCircuited:        total.cascadeShort,

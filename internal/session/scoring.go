@@ -39,7 +39,7 @@ type Generation struct {
 // Emitter receives the scoring handler's output. Methods are called on
 // the engine's worker goroutines — concurrently across streams, in order
 // within one stream — so implementations serialize their shared output
-// path (the serve transport holds its frame-writer mutex per chunk).
+// path (the serve transport writes through Conn, which locks per frame).
 type Emitter interface {
 	// Verdicts delivers one scored chunk for stream id, bound to model
 	// epoch version: parallel slices where verdicts[i]/scores[i]/events[i]
@@ -79,7 +79,9 @@ type ScoringConfig struct {
 	Source func() Generation
 	// Emit receives verdicts, summaries and flushes. Required.
 	Emit Emitter
-	// Monitor tunes the per-stream smoothing and alarm hysteresis.
+	// Monitor tunes the per-stream smoothing and alarm hysteresis. It is
+	// validated at each stream open; its Telemetry registry also carries
+	// the monitor_active_apps gauge.
 	Monitor monitor.Config
 	// MaxBatch caps how many samples one stream scores per fused
 	// DetectScoredBatch call inside a round (default 512).
@@ -108,14 +110,14 @@ type ScoringConfig struct {
 	Hook func()
 }
 
-// Scoring is the shard-role Handler: it owns the connection's
-// monitor.Tracker, captures each stream's model epoch at open time
-// (compiling that generation's detector), and scores every micro-batch
+// Scoring is the shard-role Handler: it captures each stream's model
+// epoch at open time (compiling that generation's detector and building
+// the stream's own monitor around it), and scores every micro-batch
 // through the fused allocation-free path — one evaluation per sample for
 // both its verdict and its smoothed-alarm update.
 type Scoring struct {
-	cfg ScoringConfig
-	tr  *monitor.Tracker
+	cfg    ScoringConfig
+	active telemetry.Gauge // monitor_active_apps: streams open right now
 
 	// cascade instruments, created on the first stream whose generation
 	// carries a cascade — a server that never runs one exposes no
@@ -175,37 +177,22 @@ func NewScoring(cfg ScoringConfig) (*Scoring, error) {
 	if cfg.Latency == nil {
 		cfg.Latency = telemetry.NopHistogram
 	}
-	tr, err := monitor.NewTrackerFactory(func() monitor.Scorer {
-		return cfg.Source().Detector.Compile()
-	}, cfg.Monitor)
-	if err != nil {
-		return nil, err
-	}
-	return &Scoring{cfg: cfg, tr: tr}, nil
+	return &Scoring{cfg: cfg, active: cfg.Monitor.Telemetry.Gauge("monitor_active_apps")}, nil
 }
 
-// Tracker exposes the connection's tracker (per-stream monitors and
-// session summaries).
-func (s *Scoring) Tracker() *monitor.Tracker { return s.tr }
-
 // OpenStream captures the stream's model epoch: it compiles the
-// generation that is active right now and binds the app's monitor to
-// that same instance. A swap after this point only affects streams
-// opened later.
+// generation that is active right now and builds the stream's monitor
+// around that same instance. A swap after this point only affects
+// streams opened later.
 func (s *Scoring) OpenStream(id uint32, app string) (Stream, error) {
 	g := s.cfg.Source()
 	det := g.Detector.Compile()
-	if !s.tr.OpenWith(app, det) {
-		// The app key is already tracked (unreachable after the engine's
-		// dup checks); reuse the tracker-owned scorer so stream and
-		// monitor agree.
-		var ok bool
-		det, ok = s.tr.ScorerFor(app).(*core.CompiledDetector)
-		if !ok {
-			return nil, fmt.Errorf("session: tracker scorer for %q is %T, want *core.CompiledDetector", app, s.tr.ScorerFor(app))
-		}
+	mon, err := monitor.New(det, s.cfg.Monitor)
+	if err != nil {
+		return nil, err
 	}
-	st := &scoredStream{s: s, id: id, app: app, det: det, version: g.Version, drft: g.Drift}
+	st := &scoredStream{s: s, id: id, app: app, det: det, mon: mon, sum: monitor.Summary{App: app},
+		version: g.Version, drft: g.Drift}
 	if g.Cascade != nil {
 		st.env = g.Cascade
 		st.threshold = g.CascadeThreshold
@@ -213,16 +200,17 @@ func (s *Scoring) OpenStream(id uint32, app string) (Stream, error) {
 		st.appShort = s.cfg.Telemetry.Counter(telemetry.Label("cascade_app_short_total", "app", app))
 		st.appPass = s.cfg.Telemetry.Counter(telemetry.Label("cascade_app_pass_total", "app", app))
 	}
+	s.active.Add(1)
 	return st, nil
 }
 
 // RoundEnd flushes the emitter's buffered output.
 func (s *Scoring) RoundEnd() error { return s.cfg.Emit.Flush() }
 
-// scoredStream is one (connection, app) stream: its compiled detector
-// (owned by the tracker's per-app monitor; see monitor.Tracker.OpenWith)
-// plus the reusable scoring arenas. A stream is only ever touched by its
-// engine's worker goroutines, one round at a time.
+// scoredStream is one (connection, app) stream: its compiled detector,
+// the monitor that smooths its scores, its session summary and the
+// reusable scoring arenas. A stream is only ever touched by its engine's
+// worker goroutines, one round at a time, so none of it needs a lock.
 //
 // det, version and drft are the stream's model epoch, captured from the
 // active generation in OpenStream. A hot swap that lands mid-stream does
@@ -234,6 +222,8 @@ type scoredStream struct {
 	id      uint32
 	app     string
 	det     *core.CompiledDetector
+	mon     *monitor.Monitor
+	sum     monitor.Summary
 	version int
 	drft    *drift.Monitor
 
@@ -304,8 +294,11 @@ func (st *scoredStream) Process(b Batch) error {
 				return err
 			}
 		}
-		if err := s.tr.ObserveScoredBatch(st.app, events, scores); err != nil {
+		if err := st.mon.ObserveScoredBatch(events, scores); err != nil {
 			return err
+		}
+		for _, ev := range events {
+			st.sum.Record(ev)
 		}
 		if st.drft != nil {
 			if err := st.drft.ObserveBatch(b.Samples[off:end]); err != nil {
@@ -387,10 +380,10 @@ func (st *scoredStream) cascadeChunk(verdicts []core.Verdict, scores []float64, 
 	cm.pass.Add(uint64(p))
 	st.appShort.Add(uint64(n - p))
 	st.appPass.Add(uint64(p))
-	cm.stage0Nanos.Add(uint64(max64(stage0End.Sub(stage0Start).Nanoseconds(), 0)))
+	cm.stage0Nanos.Add(uint64(max(stage0End.Sub(stage0Start).Nanoseconds(), 0)))
 	cm.stage0Samples.Add(uint64(n))
 	if p > 0 {
-		cm.stage1Nanos.Add(uint64(max64(stage1End.Sub(stage0End).Nanoseconds(), 0)))
+		cm.stage1Nanos.Add(uint64(max(stage1End.Sub(stage0End).Nanoseconds(), 0)))
 		cm.stage1Samples.Add(uint64(p))
 	}
 	return stage0End, nil
@@ -419,8 +412,8 @@ func (st *scoredStream) capture(b Batch, i int, traceID uint64, scoreStart, stag
 			rec.Hops[trace.HopGateway] = gw
 		}
 	}
-	rec.Hops[trace.HopQueue] = max64(b.DrainedAt.Sub(at).Nanoseconds(), 0)
-	rec.Hops[trace.HopAssembly] = max64(scoreStart.Sub(b.DrainedAt).Nanoseconds(), 0)
+	rec.Hops[trace.HopQueue] = max(b.DrainedAt.Sub(at).Nanoseconds(), 0)
+	rec.Hops[trace.HopAssembly] = max(scoreStart.Sub(b.DrainedAt).Nanoseconds(), 0)
 	fullStart := scoreStart
 	if !stage0End.IsZero() {
 		// Cascade chunk: stage-0's envelope pass owns its own hop and the
@@ -431,23 +424,13 @@ func (st *scoredStream) capture(b Batch, i int, traceID uint64, scoreStart, stag
 	}
 	rec.Hops[trace.HopScore] = scoreEnd.Sub(fullStart).Nanoseconds()
 	rec.Hops[trace.HopEmit] = emitEnd.Sub(scoreEnd).Nanoseconds()
-	for _, h := range rec.Hops {
-		rec.TotalNanos += h
-	}
-	rec.StartNanos = emitEnd.UnixNano() - rec.TotalNanos
+	rec.Finish(emitEnd.UnixNano())
 	s.cfg.Tracer.Add(rec)
 	s.cfg.Latency.Exemplar(float64(rec.TotalNanos)/1e9, traceID)
 }
 
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Close removes the stream's monitor and emits its session summary.
+// Close emits the stream's session summary.
 func (st *scoredStream) Close(shed uint64) error {
-	sum, _ := st.s.tr.Close(st.app)
-	return st.s.cfg.Emit.Summary(st.id, st.version, sum, shed)
+	st.s.active.Add(-1)
+	return st.s.cfg.Emit.Summary(st.id, st.version, st.sum, shed)
 }

@@ -1,8 +1,11 @@
-// Package session is the reusable per-connection stream engine shared by
-// the single-node serving tier (internal/serve, shard role) and the
-// sharded gateway tier (internal/cluster). It owns everything about a
-// connection's sample streams that does not depend on the transport or on
-// what "processing" means:
+// Package session is the reusable per-connection wire front-end and
+// stream engine shared by the single-node serving tier (internal/serve,
+// shard role) and the sharded gateway tier (internal/cluster). Front
+// (front.go) owns the connection itself: accept loop, Hello/Welcome
+// handshake, frame read loop, protocol-error frames, the locked frame
+// writer and the graceful drain. The Engine owns everything about a
+// connection's sample streams that does not depend on the transport or
+// on what "processing" means:
 //
 //   - the bounded drop-oldest ingress ring with a feature-buffer free
 //     list and per-stream shed accounting (the backpressure model from
@@ -16,8 +19,8 @@
 //     unknown-stream accounting, ordered open→process→close rounds.
 //
 // The transport supplies a Handler: the serve shard plugs in the Scoring
-// handler from this package (compiled-detector epoch capture, tracker
-// lifecycle, fused verdict+smoothing evaluation), while the cluster
+// handler from this package (compiled-detector epoch capture, one
+// monitor per stream, fused verdict+smoothing evaluation), while the cluster
 // gateway plugs in a forwarder that relays each stream's samples to the
 // backend shard the consistent-hash ring picked. Both tiers therefore
 // run the identical hot path — one copy, pinned by the serve tests.
@@ -26,8 +29,8 @@
 // reader goroutine calls Push/Open/Close, one worker goroutine runs Run,
 // and the handler's per-stream Process calls may execute concurrently
 // across *different* streams within a round but never for the same
-// stream. Handlers that share output state across streams (a frame
-// writer) serialize it themselves.
+// stream. Handlers that share output state across streams serialize it
+// themselves; the front-end's Conn does so for its frame writer.
 package session
 
 import (
@@ -94,7 +97,8 @@ const (
 	// RejectDupStream is an OpenStream for an id that is already open.
 	RejectDupStream RejectReason = iota
 	// RejectDupApp is an OpenStream for an app already streamed on this
-	// session (app keys the per-stream monitor, so it must be unique).
+	// session (app names the stream: the gateway routes by it and the
+	// per-app metrics and sample-log records are keyed by it).
 	RejectDupApp
 	// RejectUnknownClose is a CloseStream for an id that is not open.
 	RejectUnknownClose
@@ -190,9 +194,10 @@ type Engine struct {
 	ctrlMu sync.Mutex
 	ctrls  []ctrl
 
-	streams map[uint32]*entry // worker-owned after construction
-	drain   []item            // reusable drain buffer
-	touched []*entry          // reusable per-round stream list
+	streams map[uint32]*entry   // worker-owned after construction
+	apps    map[string]struct{} // apps of the open streams, worker-owned
+	drain   []item              // reusable drain buffer
+	touched []*entry            // reusable per-round stream list
 }
 
 // New validates the configuration and builds an engine.
@@ -206,6 +211,7 @@ func New(cfg Config) (*Engine, error) {
 		q:       newRing(filled.QueueDepth),
 		kick:    make(chan struct{}, 1),
 		streams: make(map[uint32]*entry),
+		apps:    make(map[string]struct{}),
 	}, nil
 }
 
@@ -269,13 +275,22 @@ func (e *Engine) Run(done <-chan struct{}) error {
 	}
 }
 
-// round runs one micro-batch round: apply stream opens, drain the ring,
-// fan processing out across the touched streams, recycle the buffers,
-// then apply stream closes and let the handler flush.
+// round runs one micro-batch round: take the control queue and drain the
+// ring as one snapshot, apply stream opens, fan processing out across the
+// touched streams, recycle the buffers, then apply stream closes and let
+// the handler flush.
+//
+// The snapshot holds ctrlMu across the drain, so a control message the
+// reader enqueues while the ring drains waits for the next round, and so
+// do the samples it pushes after it. Every open the reader enqueued
+// before a drained sample is therefore applied before that sample is
+// processed, and every close is applied after all of its stream's
+// earlier samples.
 func (e *Engine) round() error {
 	e.ctrlMu.Lock()
 	ctrls := e.ctrls
 	e.ctrls = nil
+	e.drain = e.q.drainInto(e.drain[:0])
 	e.ctrlMu.Unlock()
 
 	for _, m := range ctrls {
@@ -286,7 +301,6 @@ func (e *Engine) round() error {
 		}
 	}
 
-	e.drain = e.q.drainInto(e.drain[:0])
 	if len(e.drain) > 0 {
 		drainedAt := time.Now()
 		e.cfg.BatchSize.Observe(float64(len(e.drain)))
@@ -352,17 +366,16 @@ func (e *Engine) openStream(id uint32, app string) error {
 		e.reject(id, app, RejectDupStream)
 		return nil
 	}
-	for _, st := range e.streams {
-		if st.app == app {
-			e.reject(id, app, RejectDupApp)
-			return nil
-		}
+	if _, dup := e.apps[app]; dup {
+		e.reject(id, app, RejectDupApp)
+		return nil
 	}
 	h, err := e.cfg.Handler.OpenStream(id, app)
 	if err != nil {
 		return err
 	}
 	e.streams[id] = &entry{id: id, app: app, h: h}
+	e.apps[app] = struct{}{}
 	return nil
 }
 
@@ -373,6 +386,7 @@ func (e *Engine) closeStream(id uint32) error {
 		return nil
 	}
 	delete(e.streams, id)
+	delete(e.apps, st.app)
 	_, shed := e.q.shedCounts(id)
 	return st.h.Close(shed)
 }

@@ -298,3 +298,97 @@ func TestEngineConcurrentProducer(t *testing.T) {
 		}
 	}
 }
+
+// orderHandler logs every open, processed sample and close in the order
+// the engine delivers them. On stream 1's open it plays a reader that
+// races the worker: it opens stream 2, queues two samples for it and
+// closes it, all while the worker is inside stream 1's round.
+type orderHandler struct {
+	eng     *Engine
+	mu      sync.Mutex
+	log     []string
+	closed2 chan struct{}
+}
+
+func (h *orderHandler) add(s string) {
+	h.mu.Lock()
+	h.log = append(h.log, s)
+	h.mu.Unlock()
+}
+
+func (h *orderHandler) OpenStream(id uint32, app string) (Stream, error) {
+	h.add(fmt.Sprintf("open %d", id))
+	if id == 1 {
+		h.eng.Open(2, "appB")
+		h.eng.Push(2, 0, 0, time.Now(), []float64{2})
+		h.eng.Push(2, 1, 0, time.Now(), []float64{2})
+		h.eng.Close(2)
+	}
+	return orderStream{h: h, id: id}, nil
+}
+
+func (h *orderHandler) RoundEnd() error { return nil }
+
+type orderStream struct {
+	h  *orderHandler
+	id uint32
+}
+
+func (st orderStream) Process(b Batch) error {
+	for _, seq := range b.Seqs {
+		st.h.add(fmt.Sprintf("sample %d/%d", st.id, seq))
+	}
+	return nil
+}
+
+func (st orderStream) Close(uint64) error {
+	st.h.add(fmt.Sprintf("close %d", st.id))
+	if st.id == 2 {
+		close(st.h.closed2)
+	}
+	return nil
+}
+
+// TestEngineOpenBeforeFirstSample pins the round order: an open enqueued
+// before a sample is applied before that sample is processed, even when
+// both land while the worker is already mid-round, and a close never
+// overtakes its stream's earlier samples.
+func TestEngineOpenBeforeFirstSample(t *testing.T) {
+	h := &orderHandler{closed2: make(chan struct{})}
+	var mu sync.Mutex
+	var rejects []string
+	e, err := New(Config{Handler: h, OnReject: func(_ uint32, _ string, reason RejectReason) {
+		mu.Lock()
+		rejects = append(rejects, reason.String())
+		mu.Unlock()
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.eng = e
+	readerDone := make(chan struct{})
+	workerErr := make(chan error, 1)
+	go func() { workerErr <- e.Run(readerDone) }()
+	e.Open(1, "appA")
+	select {
+	case <-h.closed2:
+	case <-time.After(10 * time.Second):
+		t.Fatal("stream 2 never closed")
+	}
+	close(readerDone)
+	if err := <-workerErr; err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(rejects) != 0 {
+		t.Fatalf("rejects=%v, want none", rejects)
+	}
+	want := []string{"open 1", "open 2", "sample 2/0", "sample 2/1", "close 2"}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if fmt.Sprint(h.log) != fmt.Sprint(want) {
+		t.Fatalf("engine delivered %v, want %v", h.log, want)
+	}
+}

@@ -103,6 +103,17 @@ type Record struct {
 	TotalNanos int64 `json:"total_nanos"`
 }
 
+// Finish sets TotalNanos to the sum of the hops, which telescope over
+// one interval, and back-dates StartNanos from endNanos, the unix-nano
+// instant that interval ended.
+func (r *Record) Finish(endNanos int64) {
+	r.TotalNanos = 0
+	for _, h := range r.Hops {
+		r.TotalNanos += h
+	}
+	r.StartNanos = endNanos - r.TotalNanos
+}
+
 // Config sizes a Tracer.
 type Config struct {
 	// SampleEvery traces roughly one sample out of every SampleEvery
