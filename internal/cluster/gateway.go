@@ -44,13 +44,13 @@ import (
 	"time"
 
 	"twosmart/internal/anomaly"
+	"twosmart/internal/core"
 	"twosmart/internal/samplelog"
 	"twosmart/internal/serve"
 	"twosmart/internal/session"
 	"twosmart/internal/telemetry"
 	"twosmart/internal/trace"
 	"twosmart/internal/wire"
-	"twosmart/internal/workload"
 )
 
 // Config configures a Gateway.
@@ -188,15 +188,11 @@ type Gateway struct {
 	canaryStreams  telemetry.Counter
 	canarySamples  telemetry.Counter
 
-	// edge cascade, resolved at New (nil = disabled). The cascade_*
-	// instruments exist only on a cascade-running gateway.
+	// edge cascade, resolved at New (nil = disabled). Its cascade_*
+	// instruments come with the first stream that runs it.
 	cascade          *anomaly.Compiled
 	cascadeThreshold float64
 	cascadeWarn      sync.Once
-	cascadeShort     telemetry.Counter
-	cascadePass      telemetry.Counter
-	cascadeNanos     telemetry.Counter
-	cascadeSamples   telemetry.Counter
 }
 
 // New validates the configuration and builds a gateway. Call Listen then
@@ -245,12 +241,6 @@ func New(cfg Config) (*Gateway, error) {
 	g.cascade, g.cascadeThreshold, err = anomaly.Resolve(filled.Envelope, filled.CascadeThreshold)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: cascade envelope: %w", err)
-	}
-	if g.cascade != nil {
-		g.cascadeShort = reg.Counter("cascade_short_total")
-		g.cascadePass = reg.Counter("cascade_pass_total")
-		g.cascadeNanos = reg.Counter("cascade_stage0_nanos_total")
-		g.cascadeSamples = reg.Counter("cascade_stage0_samples_total")
 	}
 	g.routeP.Store(&routeState{epoch: 0, ring: BuildRing(nil, filled.Replicas)})
 	return g, nil
@@ -567,12 +557,8 @@ type forwarder struct {
 // batch retries, so a brief full-fleet outage sheds samples, not
 // connections.
 func (f *forwarder) OpenStream(id uint32, app string) (session.Stream, error) {
-	st := &fwdStream{f: f, id: id, app: app, key: RouteKey(f.agent, app)}
-	if f.cascade != nil {
-		reg := f.g.cfg.Telemetry
-		st.appShort = reg.Counter(telemetry.Label("cascade_app_short_total", "app", app))
-		st.appPass = reg.Counter(telemetry.Label("cascade_app_pass_total", "app", app))
-	}
+	st := &fwdStream{f: f, id: id, app: app, key: RouteKey(f.agent, app),
+		stage0: session.NewStage0(f.cascade, f.g.cascadeThreshold, f.g.cfg.Telemetry, app)}
 	st.ensureRoute()
 	return st, nil
 }
@@ -755,14 +741,7 @@ type fwdStream struct {
 	sent   uint64 // samples forwarded, for summaries synthesized after shard death
 	short  uint64 // samples the edge cascade answered without forwarding
 
-	// edge-cascade per-app counters (set iff the connection runs the
-	// cascade) and the reusable pass-through gather arenas.
-	appShort  telemetry.Counter
-	appPass   telemetry.Counter
-	shortMask []bool
-	fseqs     []uint32
-	fats      []time.Time
-	fsamples  [][]float64
+	stage0 *session.Stage0 // edge cascade (nil when the connection runs none)
 }
 
 // ensureRoute returns the stream's live upstream, (re)placing it when the
@@ -829,17 +808,19 @@ func (st *fwdStream) ensureRoute() *upstream {
 // shard the batch is dropped and counted; the agent connection survives.
 // When the gateway traces, one sample per sampled forwarded batch gets a
 // gateway-tier record attributing ring wait, the edge envelope pass,
-// routing/assembly and the upstream write.
+// routing/assembly (including the short-circuit answers) and the
+// upstream write(s), any failover re-send included. The gateway never
+// scores: its send start stands for both score instants, so HopScore
+// stays zero, as does HopGateway — the shard-tier record owns both.
 func (st *fwdStream) Process(b session.Batch) error {
 	g := st.f.g
-	fb, shortMask, stage0 := st.cascadeFilter(b)
+	fb, shortMask := st.cascadeFilter(b)
 	if sl := g.cfg.SampleLog; sl != nil {
 		// Log arrivals at the fleet edge, before routing: replay wants the
 		// traffic that reached the gateway, whether or not a shard was
 		// healthy enough to score it. Forwarded samples have no verdict yet,
 		// so their records are unscored (FlagScored clear) and backtests
-		// skip them; edge-cascade short-circuits carry their synthesized
-		// benign verdict.
+		// skip them; edge-cascade short-circuits carry their benign verdict.
 		var version uint32
 		if w := g.welcome.Load(); w != nil {
 			version = w.ModelVersion
@@ -854,8 +835,7 @@ func (st *fwdStream) Process(b session.Batch) error {
 				Features:     b.Samples[i],
 			}
 			if shortMask != nil && shortMask[i] {
-				recs[i].Flags = samplelog.FlagScored | samplelog.FlagShortCircuit
-				recs[i].Class = uint8(workload.Benign)
+				recs[i].SetVerdict(core.ShortCircuitVerdict, 0, false)
 			}
 		}
 		sl.AppendBatch(recs)
@@ -883,7 +863,17 @@ func (st *fwdStream) Process(b session.Batch) error {
 			g.canarySamples.Add(uint64(fb.Len()))
 		}
 		if traced {
-			st.capture(fb, traceIdx, traceID, sendStart, stage0, up.shard)
+			stage0Start, stage0End := sendStart, sendStart
+			if st.stage0 != nil {
+				stage0Start, stage0End = st.stage0.Start, st.stage0.End
+			}
+			rec := trace.Record{TraceID: traceID, Tier: trace.TierGateway, App: st.app, Shard: up.shard, Stream: st.id, Seq: fb.Seqs[traceIdx]}
+			rec.Capture(trace.Instants{
+				At: fb.Ats[traceIdx], Drained: fb.DrainedAt,
+				Stage0Start: stage0Start, Stage0End: stage0End,
+				ScoreStart: sendStart, ScoreEnd: sendStart, EmitEnd: time.Now(),
+			})
+			g.cfg.Tracer.Add(rec)
 		}
 		return nil
 	}
@@ -891,90 +881,28 @@ func (st *fwdStream) Process(b session.Batch) error {
 	return nil
 }
 
-// cascadeFilter runs the edge envelope over one batch. Short-circuited
-// samples are answered on the spot — a synthesized benign Verdict with
-// FlagShortCircuit written straight to the agent (flushed with the
-// round) — and excluded from the returned batch. Returns the batch to
-// forward (b itself when the cascade is off), the per-sample short mask
-// (nil when off) and the wall time the pass took.
-func (st *fwdStream) cascadeFilter(b session.Batch) (session.Batch, []bool, time.Duration) {
-	f := st.f
-	if f.cascade == nil {
-		return b, nil, 0
+// cascadeFilter runs the edge cascade's stage-0 filter over one batch
+// and answers each short-circuited sample on the spot: a benign Verdict
+// with FlagShortCircuit written straight to the agent (flushed with the
+// round). Returns the batch to forward (b itself when the cascade is
+// off) and the per-sample short mask (nil when off).
+func (st *fwdStream) cascadeFilter(b session.Batch) (session.Batch, []bool) {
+	if st.stage0 == nil {
+		return b, nil
 	}
-	g := f.g
-	start := time.Now()
-	n := b.Len()
-	if cap(st.shortMask) < n {
-		st.shortMask = make([]bool, n)
-	}
-	mask := st.shortMask[:n]
-	st.fseqs = st.fseqs[:0]
-	st.fats = st.fats[:0]
-	st.fsamples = st.fsamples[:0]
-	shorts := 0
-	for i, fv := range b.Samples {
-		if f.cascade.Score(fv) <= g.cascadeThreshold {
-			mask[i] = true
-			shorts++
-			f.c.Write(wire.Verdict{
+	mask, pass := st.stage0.Split(b)
+	for i, short := range mask {
+		if short {
+			st.f.c.Write(wire.Verdict{
 				Stream: st.id,
 				Seq:    b.Seqs[i],
 				Flags:  wire.FlagShortCircuit,
-				Class:  uint8(workload.Benign),
+				Class:  uint8(core.ShortCircuitVerdict.PredictedClass),
 			})
-		} else {
-			mask[i] = false
-			st.fseqs = append(st.fseqs, b.Seqs[i])
-			st.fats = append(st.fats, b.Ats[i])
-			st.fsamples = append(st.fsamples, b.Samples[i])
 		}
 	}
-	elapsed := time.Since(start)
-	st.short += uint64(shorts)
-	g.cascadeShort.Add(uint64(shorts))
-	g.cascadePass.Add(uint64(n - shorts))
-	st.appShort.Add(uint64(shorts))
-	st.appPass.Add(uint64(n - shorts))
-	g.cascadeNanos.Add(uint64(max(elapsed.Nanoseconds(), 0)))
-	g.cascadeSamples.Add(uint64(n))
-	if shorts == 0 {
-		return b, mask, elapsed
-	}
-	// Origins stay unset: the gateway is the fleet's ingress edge and
-	// stamps its own receive time (Ats) on the frames it forwards.
-	return session.Batch{
-		Samples:   st.fsamples,
-		Seqs:      st.fseqs,
-		Ats:       st.fats,
-		DrainedAt: b.DrainedAt,
-	}, mask, elapsed
-}
-
-// capture assembles the gateway-tier trace record for the sampled sample
-// at batch index i: HopQueue is the ingress-ring wait, HopStage0 the edge
-// envelope pass over the sample's batch (zero without a cascade),
-// HopAssembly the drain→send grouping and routing, HopEmit the upstream
-// write(s) (including any failover re-send). HopGateway and HopScore stay
-// zero — the matching shard-tier record owns those.
-func (st *fwdStream) capture(b session.Batch, i int, traceID uint64, sendStart time.Time, stage0 time.Duration, shard string) {
-	g := st.f.g
-	sendEnd := time.Now()
-	at := b.Ats[i]
-	rec := trace.Record{
-		TraceID: traceID,
-		Tier:    trace.TierGateway,
-		App:     st.app,
-		Shard:   shard,
-		Stream:  st.id,
-		Seq:     b.Seqs[i],
-	}
-	rec.Hops[trace.HopQueue] = max(b.DrainedAt.Sub(at).Nanoseconds(), 0)
-	rec.Hops[trace.HopStage0] = max(stage0.Nanoseconds(), 0)
-	rec.Hops[trace.HopAssembly] = max((sendStart.Sub(b.DrainedAt) - stage0).Nanoseconds(), 0)
-	rec.Hops[trace.HopEmit] = sendEnd.Sub(sendStart).Nanoseconds()
-	rec.Finish(sendEnd.UnixNano())
-	g.cfg.Tracer.Add(rec)
+	st.short += uint64(b.Len() - pass.Len())
+	return pass, mask
 }
 
 func (st *fwdStream) sendBatch(up *upstream, b session.Batch) error {

@@ -163,3 +163,66 @@ func TestClusterTraceEndToEnd(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 }
+
+// TestGatewayTraceEdgeCascade traces an edge-cascade gateway over mixed
+// traffic: every gateway record's hops are non-negative and add up to its
+// total, the gateway claims no gateway or score time, and the edge
+// envelope pass shows up in the stage-0 hop.
+func TestGatewayTraceEdgeCascade(t *testing.T) {
+	_, data := fixtures(t)
+	env := trainEnvelope(t, data)
+	sh := startShard(t)
+	gwTr := trace.New(trace.Config{SampleEvery: 1, Depth: 512})
+	tg := startGatewayWith(t, []string{sh.addr}, func(c *Config) {
+		c.Envelope = env
+		c.Tracer = gwTr
+	})
+	c := dialGateway(t, tg, testAgent)
+
+	const streams, perStream = 4, 30
+	for s := 0; s < streams; s++ {
+		if err := c.OpenStream(uint32(s), testApp(s)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sendWave(t, c, data, streams, 0, perStream)
+	for s := 0; s < streams; s++ {
+		if err := c.CloseStream(uint32(s)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	collect(t, c, make(map[uint32]int), streams)
+	if tg.reg.Counter("cascade_short_total").Value() == 0 || tg.reg.Counter("cascade_pass_total").Value() == 0 {
+		t.Fatal("edge cascade did not split the traffic; fixture corpus should mix")
+	}
+
+	recs := gwTr.Snapshot()
+	if len(recs) == 0 {
+		t.Fatal("gateway captured no trace records with SampleEvery=1")
+	}
+	withStage0 := 0
+	for _, r := range recs {
+		var sum int64
+		for h, d := range r.Hops {
+			if d < 0 {
+				t.Fatalf("gateway hop %s negative: %+v", trace.HopNames[h], r)
+			}
+			sum += d
+		}
+		if sum != r.TotalNanos {
+			t.Fatalf("gateway hops sum %d != total %d (record %+v)", sum, r.TotalNanos, r)
+		}
+		if r.Hops[trace.HopGateway] != 0 || r.Hops[trace.HopScore] != 0 {
+			t.Fatalf("gateway record claims gateway/score time: %+v", r)
+		}
+		if r.Hops[trace.HopStage0] > 0 {
+			withStage0++
+		}
+	}
+	if withStage0 == 0 {
+		t.Fatalf("no gateway record attributes the edge envelope pass (%d records)", len(recs))
+	}
+}

@@ -384,6 +384,11 @@ type Verdict struct {
 	Stage CascadeStage
 }
 
+// ShortCircuitVerdict is the verdict every tier gives a sample the
+// stage-0 envelope short-circuits: clear benign, decided by stage 0. Its
+// malware score is 0.
+var ShortCircuitVerdict = Verdict{PredictedClass: workload.Benign, Confidence: 1, Stage: StageShortCircuit}
+
 // Detect classifies one sample (a feature vector in the training feature
 // space). Stage 1's role is detector selection: the MLR picks the malware
 // class with the highest probability, and that class's specialized binary

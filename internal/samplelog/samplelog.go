@@ -36,6 +36,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+
+	"twosmart/internal/core"
 )
 
 // FormatVersion is the segment format generation, written into every
@@ -72,9 +74,10 @@ const (
 	// record time.
 	FlagAlarm uint8 = 1 << 1
 	// FlagScored marks a record written by a scoring tier: its verdict,
-	// score and class fields are meaningful. Gateway-tier records (taken
-	// at the forwarding edge, before any shard scored them) leave it
-	// clear; backtests skip them, replay uses them like any other.
+	// score and class fields are meaningful. Gateway-tier records of
+	// forwarded samples (taken at the forwarding edge, before any shard
+	// scored them) leave it clear; backtests skip them, replay uses them
+	// like any other.
 	FlagScored uint8 = 1 << 2
 	// FlagShortCircuit marks a record whose verdict came from the
 	// stage-0 anomaly envelope (clear benign, full detector never ran).
@@ -92,8 +95,9 @@ type Record struct {
 	Stream uint32
 	// App is the stream's application name.
 	App string
-	// ModelVersion is the registry version that scored the sample
-	// (0 outside a registry, or at the gateway tier).
+	// ModelVersion is the registry version that scored the sample (0
+	// outside a registry). Gateway-tier records carry the model version
+	// of the fleet's Welcome.
 	ModelVersion uint32
 	// Flags carries FlagMalware/FlagAlarm/FlagScored/FlagShortCircuit.
 	Flags uint8
@@ -114,6 +118,24 @@ func (r Record) Malware() bool { return r.Flags&FlagMalware != 0 }
 
 // ShortCircuited reports whether the stage-0 envelope decided the record.
 func (r Record) ShortCircuited() bool { return r.Flags&FlagShortCircuit != 0 }
+
+// SetVerdict records a scoring tier's decision on r: it marks r scored,
+// maps the verdict's malware decision, the stream monitor's alarm state
+// and a stage-0 short-circuit to flags, and sets Class and Score.
+func (r *Record) SetVerdict(v core.Verdict, score float64, alarm bool) {
+	r.Flags = FlagScored
+	if v.Malware {
+		r.Flags |= FlagMalware
+	}
+	if alarm {
+		r.Flags |= FlagAlarm
+	}
+	if v.Stage == core.StageShortCircuit {
+		r.Flags |= FlagShortCircuit
+	}
+	r.Class = uint8(v.PredictedClass)
+	r.Score = score
+}
 
 // Typed decode errors.
 var (

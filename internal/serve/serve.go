@@ -461,26 +461,14 @@ func (c *conn) tap(ch session.TapChunk) {
 		// chunk slice is per-call — taps run concurrently across streams.
 		recs := make([]samplelog.Record, len(ch.Samples))
 		for i := range ch.Samples {
-			flags := samplelog.FlagScored
-			if ch.Verdicts[i].Malware {
-				flags |= samplelog.FlagMalware
-			}
-			if ch.Events[i].Alarm {
-				flags |= samplelog.FlagAlarm
-			}
-			if ch.Verdicts[i].Stage == core.StageShortCircuit {
-				flags |= samplelog.FlagShortCircuit
-			}
 			recs[i] = samplelog.Record{
 				Nanos:        ch.Ats[i].UnixNano(),
 				Stream:       ch.Stream,
 				App:          ch.App,
 				ModelVersion: uint32(ch.Version),
-				Flags:        flags,
-				Class:        uint8(ch.Verdicts[i].PredictedClass),
-				Score:        ch.Scores[i],
 				Features:     ch.Samples[i],
 			}
+			recs[i].SetVerdict(ch.Verdicts[i], ch.Scores[i], ch.Events[i].Alarm)
 		}
 		sl.AppendBatch(recs)
 	}

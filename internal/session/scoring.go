@@ -2,7 +2,6 @@ package session
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"twosmart/internal/anomaly"
@@ -11,7 +10,6 @@ import (
 	"twosmart/internal/monitor"
 	"twosmart/internal/telemetry"
 	"twosmart/internal/trace"
-	"twosmart/internal/workload"
 )
 
 // Generation is one servable model generation as the scoring handler
@@ -92,7 +90,8 @@ type ScoringConfig struct {
 	Tap func(TapChunk)
 	// Tracer, when non-nil, samples scored chunks into end-to-end trace
 	// records with per-hop attribution (gateway → ring wait → assembly →
-	// score → emit). The unsampled path costs one atomic add per chunk.
+	// stage 0 → score → emit). The unsampled path costs one atomic add
+	// per chunk.
 	Tracer *trace.Tracer
 	// Latency, when non-nil, receives a histogram exemplar (the traced
 	// sample's end-to-end seconds keyed by trace ID) for every sampled
@@ -118,46 +117,6 @@ type ScoringConfig struct {
 type Scoring struct {
 	cfg    ScoringConfig
 	active telemetry.Gauge // monitor_active_apps: streams open right now
-
-	// cascade instruments, created on the first stream whose generation
-	// carries a cascade — a server that never runs one exposes no
-	// cascade_* families at all.
-	cmOnce sync.Once
-	cm     *cascadeMetrics
-}
-
-// cascadeInstruments returns the shared cascade_* instruments, creating
-// them on first use.
-func (s *Scoring) cascadeInstruments() *cascadeMetrics {
-	s.cmOnce.Do(func() {
-		cm := newCascadeMetrics(s.cfg.Telemetry)
-		s.cm = &cm
-	})
-	return s.cm
-}
-
-// cascadeMetrics caches the shared cascade_* instruments so the hot path
-// never formats a metric name. All fields come from a *telemetry.Registry
-// (nil registry yields valid no-op instruments) but are only incremented
-// on streams that actually run a cascade.
-type cascadeMetrics struct {
-	short         telemetry.Counter // samples short-circuited by stage 0
-	pass          telemetry.Counter // samples passed through to the full detector
-	stage0Nanos   telemetry.Counter // wall nanos spent in the stage-0 envelope pass
-	stage0Samples telemetry.Counter // samples the stage-0 pass scored
-	stage1Nanos   telemetry.Counter // wall nanos spent in the full-detector pass
-	stage1Samples telemetry.Counter // samples the full detector scored
-}
-
-func newCascadeMetrics(reg *telemetry.Registry) cascadeMetrics {
-	return cascadeMetrics{
-		short:         reg.Counter("cascade_short_total"),
-		pass:          reg.Counter("cascade_pass_total"),
-		stage0Nanos:   reg.Counter("cascade_stage0_nanos_total"),
-		stage0Samples: reg.Counter("cascade_stage0_samples_total"),
-		stage1Nanos:   reg.Counter("cascade_stage1_nanos_total"),
-		stage1Samples: reg.Counter("cascade_stage1_samples_total"),
-	}
 }
 
 // NewScoring validates the configuration and builds the handler.
@@ -192,13 +151,11 @@ func (s *Scoring) OpenStream(id uint32, app string) (Stream, error) {
 		return nil, err
 	}
 	st := &scoredStream{s: s, id: id, app: app, det: det, mon: mon, sum: monitor.Summary{App: app},
-		version: g.Version, drft: g.Drift}
-	if g.Cascade != nil {
-		st.env = g.Cascade
-		st.threshold = g.CascadeThreshold
-		st.cm = s.cascadeInstruments()
-		st.appShort = s.cfg.Telemetry.Counter(telemetry.Label("cascade_app_short_total", "app", app))
-		st.appPass = s.cfg.Telemetry.Counter(telemetry.Label("cascade_app_pass_total", "app", app))
+		version: g.Version, drft: g.Drift,
+		stage0: NewStage0(g.Cascade, g.CascadeThreshold, s.cfg.Telemetry, app)}
+	if st.stage0 != nil {
+		st.stage1Nanos = s.cfg.Telemetry.Counter("cascade_stage1_nanos_total")
+		st.stage1Samples = s.cfg.Telemetry.Counter("cascade_stage1_samples_total")
 	}
 	s.active.Add(1)
 	return st, nil
@@ -227,26 +184,20 @@ type scoredStream struct {
 	version int
 	drft    *drift.Monitor
 
-	// stage-0 cascade, captured with the epoch (nil = disabled): the
-	// compiled envelope, the effective threshold, and this app's
-	// short/pass counters.
-	env       *anomaly.Compiled
-	threshold float64
-	cm        *cascadeMetrics
-	appShort  telemetry.Counter
-	appPass   telemetry.Counter
+	// stage-0 cascade, captured with the epoch (nil = disabled), and
+	// the full-detector cost counters of the samples it passes on.
+	stage0        *Stage0
+	stage1Nanos   telemetry.Counter
+	stage1Samples telemetry.Counter
 
 	// reusable scoring arenas, grown to the largest micro-batch seen
 	verdicts []core.Verdict
 	scores   []float64
 	events   []monitor.Event
 
-	// cascade pass-through scatter/gather arenas: indices of samples the
-	// envelope passed onward, their gathered feature rows, and the
-	// verdict/score slots the full detector writes before the scatter
-	// back into the chunk arenas.
-	passIdx      []int
-	passSamples  [][]float64
+	// the verdict/score slots the full detector writes for a cascade
+	// chunk's pass-through samples before the scatter back into the
+	// chunk arenas.
 	passVerdicts []core.Verdict
 	passScores   []float64
 }
@@ -273,22 +224,23 @@ func (st *scoredStream) Process(b Batch) error {
 		// One sampling decision per chunk: a single atomic add when not
 		// chosen, three time.Now calls bracketing score and emit when it is.
 		// A cascade chunk is always bracketed — the per-stage cost model is
-		// the feature — at two extra time.Now calls amortized over the chunk.
+		// the feature — by the stage-0 filter's two clock reads and one
+		// closing the stage-1 pass, amortized over the chunk.
 		traceIdx, traceID, traced := s.cfg.Tracer.SampleBatch(n)
-		var scoreStart, stage0End time.Time
+		var stage0Start, stage0End, scoreStart time.Time
 		verdicts := st.verdicts[:n]
 		scores := st.scores[:n]
 		events := st.events[:n]
-		if st.env != nil {
-			scoreStart = time.Now()
-			var err error
-			stage0End, err = st.cascadeChunk(verdicts, scores, b.Samples[off:end], scoreStart)
-			if err != nil {
+		if st.stage0 != nil {
+			chunk := Batch{Samples: b.Samples[off:end], Seqs: b.Seqs[off:end], Ats: b.Ats[off:end], DrainedAt: b.DrainedAt}
+			if err := st.cascadeChunk(verdicts, scores, chunk); err != nil {
 				return err
 			}
+			stage0Start, stage0End, scoreStart = st.stage0.Start, st.stage0.End, st.stage0.End
 		} else {
 			if traced {
 				scoreStart = time.Now()
+				stage0Start, stage0End = scoreStart, scoreStart
 			}
 			if err := st.det.DetectScoredBatch(verdicts, scores, b.Samples[off:end]); err != nil {
 				return err
@@ -325,108 +277,52 @@ func (st *scoredStream) Process(b Batch) error {
 			return err
 		}
 		if traced {
-			st.capture(b, off+traceIdx, traceID, scoreStart, stage0End, scoreEnd)
+			i := off + traceIdx
+			rec := trace.Record{TraceID: traceID, Tier: trace.TierShard, App: st.app, Stream: st.id, Seq: b.Seqs[i]}
+			rec.Capture(trace.Instants{
+				Origin: b.Origins[i], At: b.Ats[i], Drained: b.DrainedAt,
+				Stage0Start: stage0Start, Stage0End: stage0End,
+				ScoreStart: scoreStart, ScoreEnd: scoreEnd, EmitEnd: time.Now(),
+			})
+			s.cfg.Tracer.Add(rec)
+			s.cfg.Latency.Exemplar(float64(rec.TotalNanos)/1e9, traceID)
 		}
 	}
 	return nil
 }
 
-// cascadeChunk runs the stage-0 envelope over one chunk: samples inside
-// the envelope (score <= threshold) get a benign short-circuit verdict in
-// place; the rest are gathered, scored through the fused full-detector
-// path, and scattered back. Returns the stage-0/stage-1 boundary
-// timestamp for trace attribution. Verdict and malware-score slots for
-// short-circuited samples are written directly (score 0: the envelope
-// decided "clear benign", and the stream's EWMA smoothing should see
-// exactly that evidence).
-func (st *scoredStream) cascadeChunk(verdicts []core.Verdict, scores []float64, samples [][]float64, stage0Start time.Time) (time.Time, error) {
-	st.passIdx = st.passIdx[:0]
-	st.passSamples = st.passSamples[:0]
-	for i, fv := range samples {
-		if st.env.Score(fv) <= st.threshold {
-			verdicts[i] = core.Verdict{
-				PredictedClass: workload.Benign,
-				Confidence:     1,
-				Stage:          core.StageShortCircuit,
-			}
-			scores[i] = 0
-		} else {
-			st.passIdx = append(st.passIdx, i)
-			st.passSamples = append(st.passSamples, fv)
-		}
+// cascadeChunk runs the stage-0 filter over one chunk, scores the
+// samples it passed on through the fused full-detector path, and
+// scatters the results back in place. Short-circuited samples get the
+// benign short-circuit verdict and malware score 0: the envelope decided
+// "clear benign", and the stream's EWMA smoothing should see exactly
+// that evidence.
+func (st *scoredStream) cascadeChunk(verdicts []core.Verdict, scores []float64, chunk Batch) error {
+	mask, pass := st.stage0.Split(chunk)
+	p := pass.Len()
+	if cap(st.passVerdicts) < p {
+		st.passVerdicts = make([]core.Verdict, chunk.Len())
+		st.passScores = make([]float64, chunk.Len())
 	}
-	stage0End := time.Now()
-	p := len(st.passIdx)
+	pv := st.passVerdicts[:p]
+	ps := st.passScores[:p]
+	if err := st.det.DetectScoredBatch(pv, ps, pass.Samples); err != nil {
+		return err
+	}
+	j := 0
+	for i, short := range mask {
+		if short {
+			verdicts[i], scores[i] = core.ShortCircuitVerdict, 0
+			continue
+		}
+		verdicts[i], scores[i] = pv[j], ps[j]
+		j++
+	}
 	if p > 0 {
-		if cap(st.passVerdicts) < p {
-			st.passVerdicts = make([]core.Verdict, len(samples))
-			st.passScores = make([]float64, len(samples))
-		}
-		pv := st.passVerdicts[:p]
-		ps := st.passScores[:p]
-		if err := st.det.DetectScoredBatch(pv, ps, st.passSamples); err != nil {
-			return stage0End, err
-		}
-		for j, i := range st.passIdx {
-			verdicts[i] = pv[j]
-			scores[i] = ps[j]
-		}
+		st.stage1Nanos.Add(uint64(max(time.Since(st.stage0.End).Nanoseconds(), 0)))
+		st.stage1Samples.Add(uint64(p))
 	}
-	stage1End := time.Now()
-
-	cm := st.cm
-	n := len(samples)
-	cm.short.Add(uint64(n - p))
-	cm.pass.Add(uint64(p))
-	st.appShort.Add(uint64(n - p))
-	st.appPass.Add(uint64(p))
-	cm.stage0Nanos.Add(uint64(max(stage0End.Sub(stage0Start).Nanoseconds(), 0)))
-	cm.stage0Samples.Add(uint64(n))
-	if p > 0 {
-		cm.stage1Nanos.Add(uint64(max(stage1End.Sub(stage0End).Nanoseconds(), 0)))
-		cm.stage1Samples.Add(uint64(p))
-	}
-	return stage0End, nil
-}
-
-// capture assembles the end-to-end trace record for the sampled sample
-// at batch index i and publishes it. The hops telescope over one
-// interval — gateway ingress (or local ingress, for direct agents) →
-// verdict handed to the emitter — so their sum equals TotalNanos by
-// construction; only HopGateway crosses a process boundary and relies on
-// wall clocks (clamped at zero against skew), every other hop is a
-// monotonic same-process delta.
-func (st *scoredStream) capture(b Batch, i int, traceID uint64, scoreStart, stage0End, scoreEnd time.Time) {
-	s := st.s
-	emitEnd := time.Now()
-	at := b.Ats[i]
-	rec := trace.Record{
-		TraceID: traceID,
-		Tier:    trace.TierShard,
-		App:     st.app,
-		Stream:  st.id,
-		Seq:     b.Seqs[i],
-	}
-	if origin := b.Origins[i]; origin > 0 {
-		if gw := at.UnixNano() - origin; gw > 0 {
-			rec.Hops[trace.HopGateway] = gw
-		}
-	}
-	rec.Hops[trace.HopQueue] = max(b.DrainedAt.Sub(at).Nanoseconds(), 0)
-	rec.Hops[trace.HopAssembly] = max(scoreStart.Sub(b.DrainedAt).Nanoseconds(), 0)
-	fullStart := scoreStart
-	if !stage0End.IsZero() {
-		// Cascade chunk: stage-0's envelope pass owns its own hop and the
-		// score hop covers the remaining full-detector work. Without a
-		// cascade the stage0 hop stays zero.
-		rec.Hops[trace.HopStage0] = stage0End.Sub(scoreStart).Nanoseconds()
-		fullStart = stage0End
-	}
-	rec.Hops[trace.HopScore] = scoreEnd.Sub(fullStart).Nanoseconds()
-	rec.Hops[trace.HopEmit] = emitEnd.Sub(scoreEnd).Nanoseconds()
-	rec.Finish(emitEnd.UnixNano())
-	s.cfg.Tracer.Add(rec)
-	s.cfg.Latency.Exemplar(float64(rec.TotalNanos)/1e9, traceID)
+	return nil
 }
 
 // Close emits the stream's session summary.

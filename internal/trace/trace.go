@@ -1,10 +1,11 @@
 // Package trace implements sampled wide-event tracing for the serving
 // fleet. One Record captures a single verdict's end-to-end journey with
 // per-hop latency attribution: time spent inside the gateway (route +
-// forward queue), waiting in the shard's ingress ring, micro-batch
-// assembly, scoring, and verdict emission. Records land in a fixed-size
-// lock-free ring and are exposed as JSON via Handler (mounted at
-// /debug/traces by the cmd tools).
+// forward queue), waiting in the ingress ring, micro-batch assembly, the
+// stage-0 envelope pass, scoring, and verdict emission. Both tiers fill
+// a record's hops through Record.Capture from the instants they
+// observed. Records land in a fixed-size lock-free ring and are exposed
+// as JSON via Handler (mounted at /debug/traces by the cmd tools).
 //
 // Hot-path contract: sampling decisions cost one atomic add per scored
 // chunk (not per sample) and the unsampled path performs zero heap
@@ -19,17 +20,18 @@ import (
 	"net/http"
 	"runtime"
 	"sync/atomic"
+	"time"
 )
 
 // Hop indexes one attributed latency segment inside Record.Hops.
 type Hop int
 
 // The hops of a verdict's journey, in pipeline order. Values are
-// nanoseconds. In a shard-tier record the sum of all hops equals
-// TotalNanos exactly: the hops telescope over one wall-clock interval
-// (gateway ingress → verdict written). Gateway-tier records attribute
-// only the hops the gateway itself owns (queue, assembly, emit) and
-// leave the rest zero.
+// nanoseconds. In every record the sum of all hops equals TotalNanos
+// exactly: the hops telescope over one wall-clock interval (gateway
+// ingress → verdict written, or forwarded). Gateway-tier records
+// attribute only the hops the gateway itself owns (queue, assembly,
+// stage0, emit) and leave gateway and score zero.
 const (
 	// HopGateway is gateway ingress → shard ingress: routing, the
 	// forwarder's ring wait and the upstream TCP write, measured as the
@@ -98,9 +100,43 @@ type Record struct {
 	StartNanos int64 `json:"start_nanos"`
 	// Hops holds per-segment durations in nanoseconds, indexed by Hop.
 	Hops [NumHops]int64 `json:"hops"`
-	// TotalNanos is the end-to-end duration covered by this record. For
-	// shard-tier records it equals the sum of Hops by construction.
+	// TotalNanos is the end-to-end duration covered by this record. It
+	// equals the sum of Hops by construction.
 	TotalNanos int64 `json:"total_nanos"`
+}
+
+// Instants are the clock readings one tier took around a traced
+// sample's chunk. A tier without a cascade passes equal stage-0
+// instants; the gateway, which never scores, passes its send start as
+// both score instants and its send end as EmitEnd.
+type Instants struct {
+	// Origin is the upstream gateway's ingress stamp in unix nanos (0
+	// when the sample arrived directly).
+	Origin int64
+	// At is local ingress; Drained is when a worker round dequeued the
+	// sample's batch.
+	At, Drained time.Time
+	// Stage0Start and Stage0End bracket the stage-0 envelope pass.
+	Stage0Start, Stage0End time.Time
+	// ScoreStart and ScoreEnd bracket the scoring pass.
+	ScoreStart, ScoreEnd time.Time
+	// EmitEnd is when the verdict was handed to the emitter.
+	EmitEnd time.Time
+}
+
+// Capture fills r.Hops from in and finishes r at in.EmitEnd. HopGateway
+// is the only cross-process hop and counts only when Origin is set and
+// precedes At; every hop is clamped at zero against clock skew.
+func (r *Record) Capture(in Instants) {
+	if in.Origin > 0 {
+		r.Hops[HopGateway] = max(in.At.UnixNano()-in.Origin, 0)
+	}
+	r.Hops[HopQueue] = max(in.Drained.Sub(in.At).Nanoseconds(), 0)
+	r.Hops[HopAssembly] = max((in.Stage0Start.Sub(in.Drained) + in.ScoreStart.Sub(in.Stage0End)).Nanoseconds(), 0)
+	r.Hops[HopStage0] = max(in.Stage0End.Sub(in.Stage0Start).Nanoseconds(), 0)
+	r.Hops[HopScore] = max(in.ScoreEnd.Sub(in.ScoreStart).Nanoseconds(), 0)
+	r.Hops[HopEmit] = max(in.EmitEnd.Sub(in.ScoreEnd).Nanoseconds(), 0)
+	r.Finish(in.EmitEnd.UnixNano())
 }
 
 // Finish sets TotalNanos to the sum of the hops, which telescope over

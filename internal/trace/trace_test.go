@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestNewDisabled(t *testing.T) {
@@ -161,6 +162,63 @@ func TestHandlerJSON(t *testing.T) {
 	}
 	if sum != d.Records[0].TotalNanos {
 		t.Fatalf("hops sum %d != total %d", sum, d.Records[0].TotalNanos)
+	}
+}
+
+// TestRecordCapture pins the hop arithmetic for each tier shape from
+// fixed instants: the exact hops, the telescoping sum, and the
+// back-dated start.
+func TestRecordCapture(t *testing.T) {
+	base := time.Unix(1_700_000_000, 0)
+	at := func(ns int64) time.Time { return base.Add(time.Duration(ns)) }
+	cases := []struct {
+		name string
+		in   Instants
+		want [NumHops]int64
+	}{
+		{
+			name: "direct shard",
+			in: Instants{At: at(0), Drained: at(100), Stage0Start: at(250), Stage0End: at(250),
+				ScoreStart: at(250), ScoreEnd: at(1250), EmitEnd: at(1300)},
+			want: [NumHops]int64{0, 100, 150, 0, 1000, 50},
+		},
+		{
+			name: "cascade shard behind a gateway",
+			in: Instants{Origin: base.UnixNano() - 400, At: at(0), Drained: at(100), Stage0Start: at(250),
+				Stage0End: at(280), ScoreStart: at(280), ScoreEnd: at(780), EmitEnd: at(800)},
+			want: [NumHops]int64{400, 100, 150, 30, 500, 20},
+		},
+		{
+			name: "edge-cascade gateway",
+			in: Instants{At: at(0), Drained: at(100), Stage0Start: at(120), Stage0End: at(160),
+				ScoreStart: at(400), ScoreEnd: at(400), EmitEnd: at(900)},
+			want: [NumHops]int64{0, 100, 260, 40, 0, 500},
+		},
+		{
+			name: "origin stamped after local ingress (clock skew)",
+			in: Instants{Origin: base.UnixNano() + 50, At: at(0), Drained: at(100), Stage0Start: at(250),
+				Stage0End: at(250), ScoreStart: at(250), ScoreEnd: at(1250), EmitEnd: at(1300)},
+			want: [NumHops]int64{0, 100, 150, 0, 1000, 50},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var r Record
+			r.Capture(tc.in)
+			if r.Hops != tc.want {
+				t.Fatalf("hops %v, want %v", r.Hops, tc.want)
+			}
+			var sum int64
+			for _, h := range r.Hops {
+				sum += h
+			}
+			if sum != r.TotalNanos {
+				t.Fatalf("hops sum %d != total %d", sum, r.TotalNanos)
+			}
+			if want := tc.in.EmitEnd.UnixNano() - r.TotalNanos; r.StartNanos != want {
+				t.Fatalf("start %d, want EmitEnd-Total = %d", r.StartNanos, want)
+			}
+		})
 	}
 }
 
