@@ -516,8 +516,18 @@ func runDiff(ctx context.Context, reg *registry.Registry, baseVer, candVer int, 
 	}
 	rep.CandidateVersion = candVer
 	fmt.Printf("diff v%d -> v%d over %d samples\n", baseVer, candVer, rep.Scored)
+	printDivergence(rep)
+}
+
+// printDivergence prints a divergence report the way diff and backtest
+// both show it: the verdict divergence, the score deltas, any scoring
+// errors and one line per primary-predicted class.
+func printDivergence(rep shadow.Report) {
 	fmt.Printf("  verdict divergence: %.4f (%d disagreements)\n", rep.VerdictDivergence, rep.Disagreements)
 	fmt.Printf("  score delta: mean abs %.4f, max %.4f\n", rep.MeanAbsScoreDelta, rep.MaxScoreDelta)
+	if rep.Errors > 0 {
+		fmt.Printf("  scoring errors: %d\n", rep.Errors)
+	}
 	classes := make([]string, 0, len(rep.PerClass))
 	for name := range rep.PerClass {
 		classes = append(classes, name)
@@ -591,7 +601,6 @@ func runBacktest(ctx context.Context, reg *registry.Registry, logDir string, can
 		}
 		return
 	}
-	rep := res.Report
 	fmt.Printf("backtest v%d over %d recorded verdicts (log: %d records in %d segments)\n",
 		candVer, res.Replayed, res.Log.Records, len(res.Log.Segments))
 	fmt.Printf("  skipped: %d unscored, %d outside window/app filter\n",
@@ -600,27 +609,13 @@ func runBacktest(ctx context.Context, reg *registry.Registry, logDir string, can
 		fmt.Printf("  log integrity: torn tail %d bytes, corrupted %d record(s)\n",
 			res.Log.TornBytes, res.Log.Corrupted)
 	}
-	fmt.Printf("  verdict divergence: %.4f (%d disagreements)\n", rep.VerdictDivergence, rep.Disagreements)
-	fmt.Printf("  score delta: mean abs %.4f, max %.4f\n", rep.MeanAbsScoreDelta, rep.MaxScoreDelta)
-	if rep.Errors > 0 {
-		fmt.Printf("  scoring errors: %d\n", rep.Errors)
-	}
 	if c := res.Cascade; c != nil {
 		fmt.Printf("  cascade (threshold %.4g): %d short-circuited (%.1f%%), %d passed on\n",
 			c.Threshold, c.ShortCircuited, 100*c.ShortFraction, c.PassedOn)
 		fmt.Printf("  cascade safety: %d recorded malware verdict(s) would have short-circuited\n",
 			c.MalwareShortCircuited)
 	}
-	classes := make([]string, 0, len(rep.PerClass))
-	for name := range rep.PerClass {
-		classes = append(classes, name)
-	}
-	sort.Strings(classes)
-	for _, name := range classes {
-		cs := rep.PerClass[name]
-		fmt.Printf("  class %-10s observed %-6d disagreed %-6d mean abs delta %.4f\n",
-			name, cs.Observed, cs.Disagreed, cs.MeanAbsDelta)
-	}
+	printDivergence(res.Report)
 }
 
 // runLogVerify scans a sample log and reports its integrity: record and

@@ -395,55 +395,12 @@ func driveConn(ctx context.Context, addr string, ci, streams, samples int, inter
 	defer c.Close()
 
 	sendNanos := make([]atomic.Int64, streams*samples)
-	recvDone := make(chan connResult, 1)
-	go func() {
-		var r connResult
-		summaries := 0
-		for summaries < streams {
-			f, err := c.Next()
-			if err != nil {
-				r.err = err
-				break
-			}
-			switch fr := f.(type) {
-			case wire.Heartbeat:
-				// Echo of a probe this sender stamped with its send time:
-				// the round trip measures wire + server turnaround without
-				// any scoring in the path.
-				if rtt := time.Since(time.Unix(0, int64(fr.Nanos))).Seconds(); rtt > 0 {
-					hbHist().Observe(rtt)
-				}
-			case wire.Verdict:
-				r.verdicts++
-				if fr.Flags&wire.FlagAlarm != 0 {
-					r.alarms++
-				}
-				if r.byStream == nil {
-					r.byStream = map[uint32]uint64{}
-				}
-				r.byStream[fr.Stream]++
-				idx := int(fr.Stream)*samples + int(fr.Seq)
-				if idx < len(sendNanos) {
-					if t0 := sendNanos[idx].Load(); t0 != 0 {
-						r.latencies = append(r.latencies, time.Since(time.Unix(0, t0)).Seconds())
-					}
-				}
-			case wire.StreamSummary:
-				r.shed += fr.Shed
-				if r.versions == nil {
-					r.versions = map[uint32]uint64{}
-				}
-				r.versions[fr.ModelVersion]++
-				summaries++
-			case wire.Error:
-				r.err = fmt.Errorf("server error %d: %s", fr.Code, fr.Msg)
-			}
-			if r.err != nil {
-				break
-			}
+	recvDone := receive(c, streams, func(v wire.Verdict) int64 {
+		if idx := int(v.Stream)*samples + int(v.Seq); idx < len(sendNanos) {
+			return sendNanos[idx].Load()
 		}
-		recvDone <- r
-	}()
+		return 0
+	})
 
 	for s := 0; s < streams; s++ {
 		if err := c.OpenStream(uint32(s), fmt.Sprintf("conn%d-app%d", ci, s)); err != nil {
@@ -493,18 +450,81 @@ send:
 			}
 		}
 	}
-	if res.err == nil {
+	return endConn(c, res, recvDone, fmt.Sprintf("conn %d", ci), func() error {
 		for s := 0; s < streams; s++ {
 			if err := c.CloseStream(uint32(s)); err != nil {
-				res.err = err
-				break
+				return err
 			}
 		}
+		return nil
+	})
+}
+
+// receive runs one agent connection's receiver until summaries for all
+// streams have arrived or the connection fails, and delivers its tally
+// on the returned channel. It feeds the heartbeat RTT histogram and
+// counts verdicts, alarms, per-stream verdicts, shed samples and
+// per-version summaries; sentAt returns a verdict's sample send time in
+// unix nanos (0 when unknown) for the latency list.
+func receive(c *serve.Client, streams int, sentAt func(wire.Verdict) int64) <-chan connResult {
+	done := make(chan connResult, 1)
+	go func() {
+		var r connResult
+		summaries := 0
+		for summaries < streams && r.err == nil {
+			f, err := c.Next()
+			if err != nil {
+				r.err = err
+				break
+			}
+			switch fr := f.(type) {
+			case wire.Heartbeat:
+				// Echo of a probe the sender stamped with its send time:
+				// the round trip measures wire + server turnaround without
+				// any scoring in the path.
+				if rtt := time.Since(time.Unix(0, int64(fr.Nanos))).Seconds(); rtt > 0 {
+					hbHist().Observe(rtt)
+				}
+			case wire.Verdict:
+				r.verdicts++
+				if fr.Flags&wire.FlagAlarm != 0 {
+					r.alarms++
+				}
+				if r.byStream == nil {
+					r.byStream = map[uint32]uint64{}
+				}
+				r.byStream[fr.Stream]++
+				if t0 := sentAt(fr); t0 != 0 {
+					r.latencies = append(r.latencies, time.Since(time.Unix(0, t0)).Seconds())
+				}
+			case wire.StreamSummary:
+				r.shed += fr.Shed
+				if r.versions == nil {
+					r.versions = map[uint32]uint64{}
+				}
+				r.versions[fr.ModelVersion]++
+				summaries++
+			case wire.Error:
+				r.err = fmt.Errorf("server error %d: %s", fr.Code, fr.Msg)
+			}
+		}
+		done <- r
+	}()
+	return done
+}
+
+// endConn ends a driven connection: unless sending already failed it
+// runs closeStreams, whose stream closes make the server send the
+// summaries the receiver waits for, then flushes and waits up to 60s
+// for the receiver. The result is the receiver's tally with the sent
+// count and the first error folded in; name labels a timeout.
+func endConn(c *serve.Client, res connResult, recvDone <-chan connResult, name string, closeStreams func() error) connResult {
+	if res.err == nil {
+		res.err = closeStreams()
 	}
 	if err := c.Flush(); err != nil && res.err == nil {
 		res.err = err
 	}
-
 	select {
 	case r := <-recvDone:
 		r.sent = res.sent
@@ -513,7 +533,7 @@ send:
 		}
 		return r
 	case <-time.After(60 * time.Second):
-		res.err = fmt.Errorf("conn %d: receiver did not finish within 60s", ci)
+		res.err = fmt.Errorf("%s: receiver did not finish within 60s", name)
 		return res
 	}
 }

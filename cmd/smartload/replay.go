@@ -190,43 +190,12 @@ func driveReplay(ctx context.Context, addr string, recs []samplelog.Record, stre
 		sendNanos[st.id] = make([]atomic.Int64, st.count)
 	}
 
-	recvDone := make(chan connResult, 1)
-	go func() {
-		var r connResult
-		summaries := 0
-		for summaries < len(streams) {
-			f, err := c.Next()
-			if err != nil {
-				r.err = err
-				break
-			}
-			switch fr := f.(type) {
-			case wire.Heartbeat:
-				if rtt := time.Since(time.Unix(0, int64(fr.Nanos))).Seconds(); rtt > 0 {
-					hbHist().Observe(rtt)
-				}
-			case wire.Verdict:
-				r.verdicts++
-				if fr.Flags&wire.FlagAlarm != 0 {
-					r.alarms++
-				}
-				if int(fr.Stream) < len(sendNanos) && int(fr.Seq) < len(sendNanos[fr.Stream]) {
-					if t0 := sendNanos[fr.Stream][fr.Seq].Load(); t0 != 0 {
-						r.latencies = append(r.latencies, time.Since(time.Unix(0, t0)).Seconds())
-					}
-				}
-			case wire.StreamSummary:
-				r.shed += fr.Shed
-				summaries++
-			case wire.Error:
-				r.err = fmt.Errorf("server error %d: %s", fr.Code, fr.Msg)
-			}
-			if r.err != nil {
-				break
-			}
+	recvDone := receive(c, len(streams), func(v wire.Verdict) int64 {
+		if int(v.Stream) < len(sendNanos) && int(v.Seq) < len(sendNanos[v.Stream]) {
+			return sendNanos[v.Stream][v.Seq].Load()
 		}
-		recvDone <- r
-	}()
+		return 0
+	})
 
 	first := recs[0].Nanos
 	start := time.Now()
@@ -277,36 +246,20 @@ send:
 			}
 		}
 	}
-	if res.err == nil {
+	return endConn(c, res, recvDone, "replay", func() error {
 		for _, st := range streams {
 			if !st.opened {
 				// A stream whose only records were never reached (send
 				// aborted early) was never opened; the receiver still
 				// counts it, so open-close it for the summary.
 				if err := c.OpenStream(st.id, st.app); err != nil {
-					res.err = err
-					break
+					return err
 				}
 			}
 			if err := c.CloseStream(st.id); err != nil {
-				res.err = err
-				break
+				return err
 			}
 		}
-	}
-	if err := c.Flush(); err != nil && res.err == nil {
-		res.err = err
-	}
-
-	select {
-	case r := <-recvDone:
-		r.sent = res.sent
-		if res.err != nil && r.err == nil {
-			r.err = res.err
-		}
-		return r
-	case <-time.After(60 * time.Second):
-		res.err = fmt.Errorf("replay receiver did not finish within 60s")
-		return res
-	}
+		return nil
+	})
 }

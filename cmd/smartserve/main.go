@@ -297,16 +297,7 @@ func loadFromRegistry(reg *registry.Registry, alertPSI float64, shardID string) 
 		return serve.Model{}, err
 	}
 	updatePinnedGauge(reg, shardID)
-	m := serve.Model{
-		Detector: det,
-		Version:  entry.Version,
-		Name:     fmt.Sprintf("%s@v%d", filepath.Base(reg.Root()), entry.Version),
-	}
-	m.Drift, err = driftMonitorFor(det, entry, alertPSI)
-	if err != nil {
-		return serve.Model{}, err
-	}
-	m.Envelope, err = cascadeEnvelopeFor(entry)
+	m, err := registryModel(reg, det, entry, alertPSI)
 	if err != nil {
 		return serve.Model{}, err
 	}
@@ -314,6 +305,27 @@ func loadFromRegistry(reg *registry.Registry, alertPSI float64, shardID string) 
 		"sha256", entry.SHA256, "features", det.NumFeatures(), "drift", m.Drift != nil,
 		"envelope", m.Envelope != nil)
 	return m, nil
+}
+
+// registryModel builds the served model for a registry entry: its
+// name@version label, its drift monitor when the entry carries a
+// feature reference and its published stage-0 envelope.
+func registryModel(reg *registry.Registry, det *core.Detector, entry registry.Entry, alertPSI float64) (serve.Model, error) {
+	mon, err := driftMonitorFor(det, entry, alertPSI)
+	if err != nil {
+		return serve.Model{}, err
+	}
+	env, err := cascadeEnvelopeFor(entry)
+	if err != nil {
+		return serve.Model{}, err
+	}
+	return serve.Model{
+		Detector: det,
+		Version:  entry.Version,
+		Name:     fmt.Sprintf("%s@v%d", filepath.Base(reg.Root()), entry.Version),
+		Drift:    mon,
+		Envelope: env,
+	}, nil
 }
 
 // loadEnvelope reads a stage-0 anomaly envelope written by smartrain
@@ -398,22 +410,10 @@ func swapFromRegistry(srv *serve.Server, reg *registry.Registry, alertPSI float6
 		app.Log.Info("hot swap skipped: version unchanged", "trigger", trigger, "version", entry.Version)
 		return
 	}
-	mon, err := driftMonitorFor(det, entry, alertPSI)
+	next, err := registryModel(reg, det, entry, alertPSI)
 	if err != nil {
 		app.Log.Error("hot swap failed", "trigger", trigger, "err", err)
 		return
-	}
-	env, err := cascadeEnvelopeFor(entry)
-	if err != nil {
-		app.Log.Error("hot swap failed", "trigger", trigger, "err", err)
-		return
-	}
-	next := serve.Model{
-		Detector: det,
-		Version:  entry.Version,
-		Name:     fmt.Sprintf("%s@v%d", filepath.Base(reg.Root()), entry.Version),
-		Drift:    mon,
-		Envelope: env,
 	}
 	if err := srv.Swap(next); err != nil {
 		app.Log.Error("hot swap failed", "trigger", trigger, "version", entry.Version, "err", err)

@@ -95,13 +95,16 @@ func (cd *CompiledDetector) route(features []float64) workload.Class {
 	return best
 }
 
-// Detect classifies one sample exactly as Detector.Detect does, with zero
-// heap allocations on the happy path.
-func (cd *CompiledDetector) Detect(features []float64) (Verdict, error) {
+func (cd *CompiledDetector) checkWidth(features []float64) error {
 	if len(features) != cd.numFeatures {
-		return Verdict{}, fmt.Errorf("core: sample has %d features, want %d", len(features), cd.numFeatures)
+		return fmt.Errorf("core: sample has %d features, want %d", len(features), cd.numFeatures)
 	}
-	routed := cd.route(features)
+	return nil
+}
+
+// verdict maps the stage-2 scores route left in cd.s2Scores to the
+// sample's Verdict.
+func (cd *CompiledDetector) verdict(routed workload.Class) Verdict {
 	best := ml.Argmax(cd.s2Scores)
 	malware := best == ml.PositiveClass
 	predicted := workload.Benign
@@ -113,21 +116,45 @@ func (cd *CompiledDetector) Detect(features []float64) (Verdict, error) {
 		Malware:        malware,
 		Stage2Kind:     cd.stage2[routed].kind,
 		Confidence:     cd.s2Scores[best],
-	}, nil
+	}
+}
+
+// score maps the stage-2 scores route left in cd.s2Scores to the
+// normalized malware ranking score.
+func (cd *CompiledDetector) score() float64 {
+	total := cd.s2Scores[0] + cd.s2Scores[1]
+	if total <= 0 {
+		return 0.5
+	}
+	return cd.s2Scores[1] / total
+}
+
+// DetectScored classifies one sample exactly as Detector.Detect does and
+// returns its MalwareScore ranking score, both from a single stage-1 +
+// stage-2 evaluation, with zero heap allocations on the happy path.
+func (cd *CompiledDetector) DetectScored(features []float64) (Verdict, float64, error) {
+	if err := cd.checkWidth(features); err != nil {
+		return Verdict{}, 0, err
+	}
+	routed := cd.route(features)
+	return cd.verdict(routed), cd.score(), nil
+}
+
+// Detect classifies one sample exactly as Detector.Detect does, with zero
+// heap allocations on the happy path.
+func (cd *CompiledDetector) Detect(features []float64) (Verdict, error) {
+	v, _, err := cd.DetectScored(features)
+	return v, err
 }
 
 // MalwareScore returns the same ranking score as Detector.MalwareScore with
 // zero heap allocations on the happy path.
 func (cd *CompiledDetector) MalwareScore(features []float64) (float64, error) {
-	if len(features) != cd.numFeatures {
-		return 0, fmt.Errorf("core: sample has %d features, want %d", len(features), cd.numFeatures)
+	if err := cd.checkWidth(features); err != nil {
+		return 0, err
 	}
 	cd.route(features)
-	total := cd.s2Scores[0] + cd.s2Scores[1]
-	if total <= 0 {
-		return 0.5, nil
-	}
-	return cd.s2Scores[1] / total, nil
+	return cd.score(), nil
 }
 
 // DetectBatch classifies samples[i] into dst[i] for every sample. dst and
@@ -174,27 +201,11 @@ func (cd *CompiledDetector) DetectScoredBatch(dst []Verdict, scores []float64, s
 		return fmt.Errorf("core: DetectScoredBatch dst/scores have %d/%d slots, want %d", len(dst), len(scores), len(samples))
 	}
 	for i, fv := range samples {
-		if len(fv) != cd.numFeatures {
-			return fmt.Errorf("core: sample %d has %d features, want %d", i, len(fv), cd.numFeatures)
+		v, score, err := cd.DetectScored(fv)
+		if err != nil {
+			return fmt.Errorf("core: sample %d: %w", i, err)
 		}
-		routed := cd.route(fv)
-		best := ml.Argmax(cd.s2Scores)
-		malware := best == ml.PositiveClass
-		predicted := workload.Benign
-		if malware {
-			predicted = routed
-		}
-		dst[i] = Verdict{
-			PredictedClass: predicted,
-			Malware:        malware,
-			Stage2Kind:     cd.stage2[routed].kind,
-			Confidence:     cd.s2Scores[best],
-		}
-		if total := cd.s2Scores[0] + cd.s2Scores[1]; total > 0 {
-			scores[i] = cd.s2Scores[1] / total
-		} else {
-			scores[i] = 0.5
-		}
+		dst[i], scores[i] = v, score
 	}
 	return nil
 }

@@ -52,7 +52,11 @@ type Options struct {
 	Hook Hook
 }
 
-func (o Options) workers(n int) int {
+// WorkerCount is the number of workers a run of n tasks uses under o:
+// Workers, or runtime.NumCPU() when Workers <= 0, capped at n and at
+// least 1. Callers that split work into one chunk per worker size their
+// chunks with it.
+func (o Options) WorkerCount(n int) int {
 	w := o.Workers
 	if w <= 0 {
 		w = runtime.NumCPU()
@@ -111,7 +115,7 @@ func run[T any](ctx context.Context, n int, opts Options, fn func(ctx context.Co
 		hook = opts.Hook
 	)
 
-	workers := opts.workers(n)
+	workers := opts.WorkerCount(n)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {

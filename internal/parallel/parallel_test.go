@@ -235,3 +235,6 @@ func waitForGoroutines(t *testing.T, baseline int) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// workers is the name TestDefaultWorkers checks WorkerCount under.
+func (o Options) workers(n int) int { return o.WorkerCount(n) }

@@ -104,6 +104,13 @@ func (r *Registry) writeManifest(m *Manifest) error {
 	return atomicWrite(r.manifestPath(), data)
 }
 
+// WriteFile atomically replaces the document name under the registry
+// root with data, the way the manifest itself is published, for
+// controllers that keep their own state beside the manifest.
+func (r *Registry) WriteFile(name string, data []byte) error {
+	return atomicWrite(filepath.Join(r.root, name), data)
+}
+
 func atomicWrite(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".tmp-*")

@@ -32,6 +32,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"twosmart/internal/fleet"
@@ -272,7 +273,7 @@ func RequestAbort(r *registry.Registry) error {
 	if st == nil || (st.Phase != PhaseBaking && st.Phase != PhasePinning) {
 		return errors.New("rollout: no rollout in progress")
 	}
-	return atomicWrite(abortPath(r), []byte(time.Now().UTC().Format(time.RFC3339)+"\n"))
+	return r.WriteFile(abortFile, []byte(time.Now().UTC().Format(time.RFC3339)+"\n"))
 }
 
 // save persists the state document atomically and mirrors the phase
@@ -284,7 +285,7 @@ func (c *Controller) save() error {
 		return fmt.Errorf("rollout: %w", err)
 	}
 	c.stateGauge.Set(phaseOrd[c.state.Phase])
-	return atomicWrite(statePath(c.cfg.Registry), append(data, '\n'))
+	return c.cfg.Registry.WriteFile(StateFile, append(data, '\n'))
 }
 
 // Run executes the rollout to a terminal phase and returns the final
@@ -365,7 +366,7 @@ func (c *Controller) Run(ctx context.Context) (*State, error) {
 				"divergence", ev.Divergence, "drift_retrain", ev.DriftRetrain)
 			if !ev.Pass {
 				c.gateFails.Inc()
-				return c.state, c.rollback("gate failed: " + joinFailures(ev.Failures))
+				return c.state, c.rollback("gate failed: " + strings.Join(ev.Failures, "; "))
 			}
 		}
 		if time.Now().After(deadline) {
@@ -556,41 +557,4 @@ func (c *Controller) widen() error {
 	c.cfg.Log.Info("rollout widened: candidate promoted fleet-wide",
 		"candidate", c.state.Candidate, "evaluations", len(c.state.Evaluations))
 	return c.save()
-}
-
-func joinFailures(fs []string) string {
-	out := ""
-	for i, f := range fs {
-		if i > 0 {
-			out += "; "
-		}
-		out += f
-	}
-	return out
-}
-
-// atomicWrite mirrors the registry's write-temp-then-rename idiom for
-// the controller's own documents.
-func atomicWrite(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("rollout: %w", err)
-	}
-	tmpName := tmp.Name()
-	_, werr := tmp.Write(data)
-	if werr == nil {
-		werr = tmp.Sync()
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmpName, path)
-	}
-	if werr != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("rollout: %w", werr)
-	}
-	return nil
 }

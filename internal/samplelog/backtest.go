@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
 	"twosmart/internal/anomaly"
 	"twosmart/internal/core"
@@ -17,7 +16,7 @@ import (
 type BacktestOptions struct {
 	// Version is the candidate's registry version, echoed in the report.
 	Version int
-	// Workers bounds the replay fan-out (default: parallel's default).
+	// Workers bounds the replay fan-out; <= 0 uses one worker per CPU.
 	Workers int
 	// FromNanos/ToNanos bound the replay window (inclusive); zero means
 	// unbounded on that side.
@@ -80,134 +79,13 @@ type BacktestResult struct {
 	Cascade *CascadeBacktest `json:"cascade,omitempty"`
 }
 
-// backtest divergence accumulator; shadow keeps its own unexported, so
-// the full-speed replay path carries a parallel-mergeable twin and emits
-// the shared shadow.Report shape at the end.
-type btStats struct {
-	scored        uint64
-	errors        uint64
-	disagreements uint64
-	sumAbsDelta   float64
-	maxDelta      float64
-	perClass      map[string]*btClass
-
-	// cascade replay accounting (all zero when no envelope rides along)
-	cascadeShort  uint64
-	cascadePass   uint64
-	malwareShort  uint64
-	cascadeErrors uint64 // records whose width the envelope could not score
-}
-
-type btClass struct {
-	observed    uint64
-	disagreed   uint64
-	sumAbsDelta float64
-}
-
-func (st *btStats) observe(cand *core.CompiledDetector, rec Record) {
-	v, err := cand.Detect(rec.Features)
-	if err != nil {
-		st.errors++
-		return
-	}
-	score, err := cand.MalwareScore(rec.Features)
-	if err != nil {
-		st.errors++
-		return
-	}
-	st.scored++
-	delta := math.Abs(score - rec.Score)
-	st.sumAbsDelta += delta
-	if delta > st.maxDelta {
-		st.maxDelta = delta
-	}
-	name := workload.Class(rec.Class).String()
-	ca := st.perClass[name]
-	if ca == nil {
-		ca = &btClass{}
-		st.perClass[name] = ca
-	}
-	ca.observed++
-	ca.sumAbsDelta += delta
-	if v.Malware != rec.Malware() {
-		st.disagreements++
-		ca.disagreed++
-	}
-}
-
-// observeCascade replays one record through the stage-0 envelope and
-// accounts what the cascade would have done to it.
-func (st *btStats) observeCascade(env *anomaly.Compiled, threshold float64, rec Record) {
-	if len(rec.Features) != env.NumFeatures() {
-		st.cascadeErrors++
-		return
-	}
-	if env.Score(rec.Features) <= threshold {
-		st.cascadeShort++
-		if rec.Malware() {
-			st.malwareShort++
-		}
-	} else {
-		st.cascadePass++
-	}
-}
-
-func (st *btStats) merge(o btStats) {
-	st.scored += o.scored
-	st.errors += o.errors
-	st.disagreements += o.disagreements
-	st.sumAbsDelta += o.sumAbsDelta
-	if o.maxDelta > st.maxDelta {
-		st.maxDelta = o.maxDelta
-	}
-	for name, ca := range o.perClass {
-		dst := st.perClass[name]
-		if dst == nil {
-			dst = &btClass{}
-			st.perClass[name] = dst
-		}
-		dst.observed += ca.observed
-		dst.disagreed += ca.disagreed
-		dst.sumAbsDelta += ca.sumAbsDelta
-	}
-	st.cascadeShort += o.cascadeShort
-	st.cascadePass += o.cascadePass
-	st.malwareShort += o.malwareShort
-	st.cascadeErrors += o.cascadeErrors
-}
-
-func (st *btStats) report(version int) shadow.Report {
-	rep := shadow.Report{
-		CandidateVersion: version,
-		Scored:           st.scored,
-		Errors:           st.errors,
-		Disagreements:    st.disagreements,
-		MaxScoreDelta:    st.maxDelta,
-	}
-	if st.scored > 0 {
-		rep.VerdictDivergence = float64(st.disagreements) / float64(st.scored)
-		rep.MeanAbsScoreDelta = st.sumAbsDelta / float64(st.scored)
-	}
-	if len(st.perClass) > 0 {
-		rep.PerClass = make(map[string]shadow.ClassStat, len(st.perClass))
-		for name, ca := range st.perClass {
-			cs := shadow.ClassStat{Observed: ca.observed, Disagreed: ca.disagreed}
-			if ca.observed > 0 {
-				cs.MeanAbsDelta = ca.sumAbsDelta / float64(ca.observed)
-			}
-			rep.PerClass[name] = cs
-		}
-	}
-	return rep
-}
-
 // Backtest replays a recorded log window through a candidate detector at
 // full speed and reports divergence against the verdicts the fleet
 // actually served. Records without a recorded verdict (gateway-tier
-// captures) are skipped — there is nothing to diverge from. Each worker
-// compiles its own candidate (compiled detectors are single-goroutine by
-// contract) and scores a contiguous chunk; the torn/corrupt accounting
-// of the underlying scan rides along in the result.
+// captures) are skipped — there is nothing to diverge from. Scoring fans
+// out through shadow.Replay with the recorded verdicts as the baseline;
+// the torn/corrupt accounting of the underlying scan rides along in the
+// result.
 func Backtest(ctx context.Context, dir string, candidate *core.Detector, opts BacktestOptions) (BacktestResult, error) {
 	var res BacktestResult
 	if candidate == nil {
@@ -246,49 +124,45 @@ func Backtest(ctx context.Context, dir string, candidate *core.Detector, opts Ba
 			dir, rep.Records, res.SkippedUnscored, res.SkippedFiltered)
 	}
 
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > len(records) {
-		workers = len(records)
-	}
-	chunk := (len(records) + workers - 1) / workers
-	parts, err := parallel.Map(ctx, workers, parallel.Options{Workers: workers}, func(_ context.Context, w int) (btStats, error) {
-		lo := w * chunk
-		hi := min(lo+chunk, len(records))
-		cand := candidate.Compile()
-		st := btStats{perClass: make(map[string]*btClass)}
-		for _, rec := range records[lo:hi] {
-			st.observe(cand, rec)
-			if env != nil {
-				st.observeCascade(env, cascadeThreshold, rec)
-			}
+	div, err := shadow.Replay(ctx, candidate, len(records), parallel.Options{Workers: opts.Workers}, func() shadow.Sample {
+		return func(i int) ([]float64, shadow.Primary, error) {
+			r := records[i]
+			return r.Features, shadow.Primary{
+				Malware: r.Malware(),
+				Class:   workload.Class(r.Class).String(),
+				Score:   r.Score,
+			}, nil
 		}
-		return st, nil
 	})
 	if err != nil {
-		return res, err
+		return res, fmt.Errorf("samplelog: %w", err)
 	}
-	total := btStats{perClass: make(map[string]*btClass)}
-	for _, st := range parts {
-		total.merge(st)
-	}
-	if total.errors > 0 && total.scored == 0 {
-		return res, fmt.Errorf("samplelog: candidate scored none of %d records (feature width mismatch?)", len(records))
-	}
-	res.Report = total.report(opts.Version)
+	res.Report = div.Report(opts.Version, 0)
 	if env != nil {
-		cb := &CascadeBacktest{
-			Threshold:             cascadeThreshold,
-			ShortCircuited:        total.cascadeShort,
-			PassedOn:              total.cascadePass,
-			MalwareShortCircuited: total.malwareShort,
-		}
-		if replayed := total.cascadeShort + total.cascadePass; replayed > 0 {
-			cb.ShortFraction = float64(total.cascadeShort) / float64(replayed)
-		}
-		res.Cascade = cb
+		res.Cascade = replayCascade(env, cascadeThreshold, records)
 	}
 	return res, nil
+}
+
+// replayCascade replays every record through the stage-0 envelope and
+// accounts what the cascade would have done to it. Records the envelope
+// cannot score (a width mismatch) count on neither side.
+func replayCascade(env *anomaly.Compiled, threshold float64, records []Record) *CascadeBacktest {
+	cb := &CascadeBacktest{Threshold: threshold}
+	for _, r := range records {
+		switch {
+		case len(r.Features) != env.NumFeatures():
+		case env.Score(r.Features) <= threshold:
+			cb.ShortCircuited++
+			if r.Malware() {
+				cb.MalwareShortCircuited++
+			}
+		default:
+			cb.PassedOn++
+		}
+	}
+	if replayed := cb.ShortCircuited + cb.PassedOn; replayed > 0 {
+		cb.ShortFraction = float64(cb.ShortCircuited) / float64(replayed)
+	}
+	return cb
 }

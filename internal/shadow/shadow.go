@@ -8,8 +8,9 @@
 // is full the sample is dropped and counted — shadow scoring sheds load
 // before it can ever back-pressure live detection.
 //
-// For offline comparison (cmd/smartctl diff), Evaluate scores a replayed
-// sample set under both models at once, fanned out through the shared
+// One Divergence accumulator serves every comparison: the streaming
+// drain, offline Evaluate (cmd/smartctl diff) and the sample-log
+// backtest, the latter two fanned out through Replay on the shared
 // worker pool.
 package shadow
 
@@ -74,7 +75,11 @@ type Report struct {
 	PerClass          map[string]ClassStat `json:"per_class,omitempty"`
 }
 
-type stats struct {
+// Divergence accumulates how a candidate's decisions differ from a
+// baseline's, sample by sample. The zero value is ready to use. A
+// Divergence is not safe for concurrent use: replay fans out one per
+// worker and merges them, the streaming Shadow guards its own.
+type Divergence struct {
 	scored        uint64
 	errors        uint64
 	disagreements uint64
@@ -89,76 +94,78 @@ type classAcc struct {
 	sumAbsDelta float64
 }
 
-func newStats() stats { return stats{perClass: make(map[string]*classAcc)} }
-
-// observe scores one sample with the candidate and folds the comparison
-// into the accumulator.
-func (st *stats) observe(cand *core.CompiledDetector, features []float64, p Primary) {
-	v, err := cand.Detect(features)
-	if err != nil {
-		st.errors++
-		return
-	}
-	score, err := cand.MalwareScore(features)
-	if err != nil {
-		st.errors++
-		return
-	}
-	st.scored++
-	delta := math.Abs(score - p.Score)
-	st.sumAbsDelta += delta
-	if delta > st.maxDelta {
-		st.maxDelta = delta
-	}
-	ca := st.perClass[p.Class]
+func (d *Divergence) class(name string) *classAcc {
+	ca := d.perClass[name]
 	if ca == nil {
+		if d.perClass == nil {
+			d.perClass = make(map[string]*classAcc)
+		}
 		ca = &classAcc{}
-		st.perClass[p.Class] = ca
+		d.perClass[name] = ca
 	}
+	return ca
+}
+
+// Observe scores one sample with the candidate — one fused detector
+// evaluation — and folds its comparison with the baseline's decision p
+// into the accumulator. A sample the candidate cannot score counts as an
+// error.
+func (d *Divergence) Observe(cand *core.CompiledDetector, features []float64, p Primary) {
+	v, score, err := cand.DetectScored(features)
+	if err != nil {
+		d.errors++
+		return
+	}
+	d.scored++
+	delta := math.Abs(score - p.Score)
+	d.sumAbsDelta += delta
+	if delta > d.maxDelta {
+		d.maxDelta = delta
+	}
+	ca := d.class(p.Class)
 	ca.observed++
 	ca.sumAbsDelta += delta
 	if v.Malware != p.Malware {
-		st.disagreements++
+		d.disagreements++
 		ca.disagreed++
 	}
 }
 
-func (st *stats) merge(o stats) {
-	st.scored += o.scored
-	st.errors += o.errors
-	st.disagreements += o.disagreements
-	st.sumAbsDelta += o.sumAbsDelta
-	if o.maxDelta > st.maxDelta {
-		st.maxDelta = o.maxDelta
+// Merge folds another accumulator's counts into d.
+func (d *Divergence) Merge(o *Divergence) {
+	d.scored += o.scored
+	d.errors += o.errors
+	d.disagreements += o.disagreements
+	d.sumAbsDelta += o.sumAbsDelta
+	if o.maxDelta > d.maxDelta {
+		d.maxDelta = o.maxDelta
 	}
 	for name, ca := range o.perClass {
-		dst := st.perClass[name]
-		if dst == nil {
-			dst = &classAcc{}
-			st.perClass[name] = dst
-		}
+		dst := d.class(name)
 		dst.observed += ca.observed
 		dst.disagreed += ca.disagreed
 		dst.sumAbsDelta += ca.sumAbsDelta
 	}
 }
 
-func (st *stats) report(version int, dropped uint64) Report {
+// Report summarises the accumulated divergence for the candidate's
+// registry version, with dropped samples counted alongside.
+func (d *Divergence) Report(version int, dropped uint64) Report {
 	rep := Report{
 		CandidateVersion: version,
-		Scored:           st.scored,
+		Scored:           d.scored,
 		Dropped:          dropped,
-		Errors:           st.errors,
-		Disagreements:    st.disagreements,
-		MaxScoreDelta:    st.maxDelta,
+		Errors:           d.errors,
+		Disagreements:    d.disagreements,
+		MaxScoreDelta:    d.maxDelta,
 	}
-	if st.scored > 0 {
-		rep.VerdictDivergence = float64(st.disagreements) / float64(st.scored)
-		rep.MeanAbsScoreDelta = st.sumAbsDelta / float64(st.scored)
+	if d.scored > 0 {
+		rep.VerdictDivergence = float64(d.disagreements) / float64(d.scored)
+		rep.MeanAbsScoreDelta = d.sumAbsDelta / float64(d.scored)
 	}
-	if len(st.perClass) > 0 {
-		rep.PerClass = make(map[string]ClassStat, len(st.perClass))
-		for name, ca := range st.perClass {
+	if len(d.perClass) > 0 {
+		rep.PerClass = make(map[string]ClassStat, len(d.perClass))
+		for name, ca := range d.perClass {
 			cs := ClassStat{Observed: ca.observed, Disagreed: ca.disagreed}
 			if ca.observed > 0 {
 				cs.MeanAbsDelta = ca.sumAbsDelta / float64(ca.observed)
@@ -167,6 +174,43 @@ func (st *stats) report(version int, dropped uint64) Report {
 		}
 	}
 	return rep
+}
+
+// Sample yields replay sample i and the baseline's decision on it.
+type Sample func(i int) ([]float64, Primary, error)
+
+// Replay scores n samples with the candidate, fanned out in contiguous
+// chunks, one per worker (opts.Workers <= 0 takes parallel's default).
+// Each worker compiles its own candidate, since compiled detectors are
+// single-goroutine by contract, and reads its chunk through its own
+// Sample from newSample, so a Sample may own a compiled baseline too.
+// It fails when the candidate scored none of the samples.
+func Replay(ctx context.Context, candidate *core.Detector, n int, opts parallel.Options, newSample func() Sample) (*Divergence, error) {
+	workers := opts.WorkerCount(n)
+	chunk := (n + workers - 1) / workers
+	parts, err := parallel.Map(ctx, workers, opts, func(_ context.Context, w int) (*Divergence, error) {
+		cand, sample := candidate.Compile(), newSample()
+		d := &Divergence{}
+		for i := w * chunk; i < min((w+1)*chunk, n); i++ {
+			features, p, err := sample(i)
+			if err != nil {
+				return nil, err
+			}
+			d.Observe(cand, features, p)
+		}
+		return d, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	total := &Divergence{}
+	for _, d := range parts {
+		total.Merge(d)
+	}
+	if total.errors > 0 && total.scored == 0 {
+		return nil, fmt.Errorf("shadow: candidate scored none of %d samples (feature width mismatch?)", n)
+	}
+	return total, nil
 }
 
 // Shadow re-scores live traffic with a candidate model off the hot path.
@@ -181,7 +225,7 @@ type Shadow struct {
 	wg    sync.WaitGroup
 
 	mu      sync.Mutex
-	st      stats
+	div     Divergence
 	dropped uint64
 
 	observedC telemetry.Counter
@@ -203,7 +247,6 @@ func New(candidate *core.Detector, cfg Config) (*Shadow, error) {
 		version:   cfg.Version,
 		queue:     make(chan observation, cfg.Queue),
 		stop:      make(chan struct{}),
-		st:        newStats(),
 		observedC: cfg.Telemetry.Counter("shadow_observed_total"),
 		droppedC:  cfg.Telemetry.Counter("shadow_dropped_total"),
 		disagreeC: cfg.Telemetry.Counter("shadow_disagreements_total"),
@@ -264,12 +307,12 @@ func (s *Shadow) drain() {
 
 func (s *Shadow) score(o observation) {
 	s.mu.Lock()
-	before := s.st.disagreements
-	s.st.observe(s.cand, o.features, o.primary)
-	disagreed := s.st.disagreements - before
+	before := s.div.disagreements
+	s.div.Observe(s.cand, o.features, o.primary)
+	disagreed := s.div.disagreements - before
 	var div float64
-	if s.st.scored > 0 {
-		div = float64(s.st.disagreements) / float64(s.st.scored)
+	if s.div.scored > 0 {
+		div = float64(s.div.disagreements) / float64(s.div.scored)
 	}
 	s.mu.Unlock()
 	s.observedC.Inc()
@@ -283,7 +326,7 @@ func (s *Shadow) score(o observation) {
 func (s *Shadow) Report() Report {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.st.report(s.version, s.dropped)
+	return s.div.Report(s.version, s.dropped)
 }
 
 // Close stops accepting samples, drains what is already queued, waits for
@@ -297,8 +340,8 @@ func (s *Shadow) Close() Report {
 
 // Evaluate replays a sample set under both models at once and reports
 // the candidate's divergence from the baseline, fanning the work out
-// through the shared worker pool. Each worker compiles its own pair of
-// detectors (compiled detectors are single-goroutine by contract).
+// through Replay. Each worker also compiles its own baseline, which
+// scores each sample with one fused evaluation.
 func Evaluate(ctx context.Context, baseline, candidate *core.Detector, samples [][]float64, opts parallel.Options) (Report, error) {
 	if baseline == nil || candidate == nil {
 		return Report{}, errors.New("shadow: nil detector")
@@ -306,45 +349,18 @@ func Evaluate(ctx context.Context, baseline, candidate *core.Detector, samples [
 	if len(samples) == 0 {
 		return Report{}, errors.New("shadow: no samples to evaluate")
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > len(samples) {
-		workers = len(samples)
-	}
-	chunk := (len(samples) + workers - 1) / workers
-	parts, err := parallel.Map(ctx, workers, opts, func(_ context.Context, w int) (stats, error) {
-		lo := w * chunk
-		hi := min(lo+chunk, len(samples))
-		base, cand := baseline.Compile(), candidate.Compile()
-		st := newStats()
-		for _, features := range samples[lo:hi] {
-			v, err := base.Detect(features)
+	d, err := Replay(ctx, candidate, len(samples), opts, func() Sample {
+		base := baseline.Compile()
+		return func(i int) ([]float64, Primary, error) {
+			v, score, err := base.DetectScored(samples[i])
 			if err != nil {
-				return stats{}, fmt.Errorf("shadow: baseline: %w", err)
+				return nil, Primary{}, fmt.Errorf("shadow: baseline: %w", err)
 			}
-			score, err := base.MalwareScore(features)
-			if err != nil {
-				return stats{}, fmt.Errorf("shadow: baseline: %w", err)
-			}
-			st.observe(cand, features, Primary{
-				Malware: v.Malware,
-				Class:   v.PredictedClass.String(),
-				Score:   score,
-			})
+			return samples[i], Primary{Malware: v.Malware, Class: v.PredictedClass.String(), Score: score}, nil
 		}
-		return st, nil
 	})
 	if err != nil {
 		return Report{}, err
 	}
-	total := newStats()
-	for _, st := range parts {
-		total.merge(st)
-	}
-	if total.errors > 0 && total.scored == 0 {
-		return Report{}, fmt.Errorf("shadow: candidate scored none of %d samples (feature width mismatch?)", len(samples))
-	}
-	return total.report(0, 0), nil
+	return d.Report(0, 0), nil
 }
