@@ -19,6 +19,10 @@
 // traffic. -cascade-threshold tunes (or, negative, disables) the
 // short-circuit boundary.
 //
+// With -idle-timeout the gateway reaps agent connections that send no
+// frame (not even a Heartbeat) for that long: it forwards what they had
+// queued, sends Error{CodeIdle} and closes their upstream connections.
+//
 // On SIGINT/SIGTERM the gateway drains gracefully — stops accepting,
 // forwards everything already queued — and exits 130.
 //
@@ -54,6 +58,7 @@ func main() {
 	checkInterval := flag.Duration("check-interval", 2*time.Second, "shard health-probe period")
 	dialTimeout := flag.Duration("dial-timeout", 3*time.Second, "upstream dial + handshake / probe round-trip budget")
 	queueDepth := flag.Int("queue-depth", 4096, "per-connection ingress queue depth; beyond it the oldest samples are shed")
+	idleTimeout := flag.Duration("idle-timeout", 0, "reap agent connections that send no frame (not even a Heartbeat) for this long (0 = never)")
 	reportOut := flag.String("report", "", "write the machine-readable run report (JSON, includes the cluster_* counters) to this file (- for stdout)")
 	traceSample := flag.Int("trace-sample", 1024, "capture one gateway-tier trace per this many forwarded samples (0 = tracing off; served at /debug/traces with -telemetry-addr)")
 	traceDepth := flag.Int("trace-depth", 256, "trace ring capacity (rounded up to a power of two)")
@@ -113,6 +118,7 @@ func main() {
 		CheckInterval:    *checkInterval,
 		DialTimeout:      *dialTimeout,
 		QueueDepth:       *queueDepth,
+		IdleTimeout:      *idleTimeout,
 		Envelope:         envelope,
 		CascadeThreshold: *cascadeThreshold,
 		Telemetry:        app.Telemetry,

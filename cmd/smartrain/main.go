@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -27,6 +28,7 @@ import (
 	"twosmart/internal/dataset"
 	"twosmart/internal/metrics"
 	"twosmart/internal/persist"
+	"twosmart/internal/telemetry"
 	"twosmart/internal/workload"
 )
 
@@ -123,8 +125,9 @@ func main() {
 		app.Log.Info("wrote detector", "bytes", len(blob), "path", *modelOut)
 	}
 
+	var envCheck *envelopeCheck
 	if *envelopeOut != "" {
-		if err := trainEnvelope(*envelopeOut, *envelopeBudget, *seed, train, test); err != nil {
+		if envCheck, err = trainEnvelope(*envelopeOut, *envelopeBudget, *seed, train, test); err != nil {
 			fatal(err)
 		}
 	}
@@ -174,6 +177,9 @@ func main() {
 		for _, c := range twosmart.MalwareClasses() {
 			rep.Results["f1_"+c.String()] = perClass[c].F1()
 		}
+		if envCheck != nil {
+			envCheck.record(rep)
+		}
 		if err := rep.WriteFile(*reportOut); err != nil {
 			fatal(err)
 		}
@@ -183,11 +189,32 @@ func main() {
 	}
 }
 
+// envelopeCheck is a calibrated envelope's budget and the fraction of the
+// held-out test benign it passes onward to the full detector.
+type envelopeCheck struct {
+	budget, testPass float64
+}
+
+// met reports whether the held-out benign stayed within the budget.
+func (c *envelopeCheck) met() bool { return c.testPass <= c.budget }
+
+// record writes the calibration outcome into the run report.
+func (c *envelopeCheck) record(rep *telemetry.RunReport) {
+	rep.Results["envelope_budget"] = c.budget
+	rep.Results["envelope_test_benign_pass"] = c.testPass
+	if rep.Notes == nil {
+		rep.Notes = map[string]string{}
+	}
+	rep.Notes["envelope_budget_met"] = strconv.FormatBool(c.met())
+}
+
 // trainEnvelope fits the stage-0 cascade envelope on the training split's
 // benign samples (in the same feature space the detector trains in),
 // persists it and reports the calibration: the short-circuit threshold
-// plus how the fully held-out test benign behaves under it.
-func trainEnvelope(path string, budget float64, seed int64, train, test *twosmart.Dataset) error {
+// plus how the fully held-out test benign behaves under it. A missed
+// budget is logged as a warning, not an error: the envelope still works
+// as a cost filter, and the run report carries the miss.
+func trainEnvelope(path string, budget float64, seed int64, train, test *twosmart.Dataset) (*envelopeCheck, error) {
 	benignOf := func(d *twosmart.Dataset) [][]float64 {
 		var out [][]float64
 		for _, ins := range d.Instances {
@@ -202,21 +229,25 @@ func trainEnvelope(path string, budget float64, seed int64, train, test *twosmar
 		Seed:   seed,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	blob, err := persist.MarshalEnvelope(env)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		return err
+		return nil, err
 	}
-	testPass := env.PassRate(benignOf(test), env.Threshold)
+	check := &envelopeCheck{budget: env.Budget, testPass: env.PassRate(benignOf(test), env.Threshold)}
 	app.Log.Info("wrote stage-0 envelope", "path", path,
 		"features", env.NumFeatures(), "threshold", env.Threshold, "budget", env.Budget)
 	fmt.Printf("\nstage-0 envelope: threshold=%.4g budget=%.4g test-benign passed onward=%.2f%%\n",
-		env.Threshold, env.Budget, 100*testPass)
-	return nil
+		env.Threshold, env.Budget, 100*check.testPass)
+	if !check.met() {
+		app.Log.Warn("stage-0 envelope misses its budget on held-out benign",
+			"budget", check.budget, "test_benign_pass", check.testPass)
+	}
+	return check, nil
 }
 
 func loadOrCollect(ctx context.Context, inCSV string, scale float64, seed int64, faithful bool) (*twosmart.Dataset, error) {

@@ -67,6 +67,12 @@ type Config struct {
 	// QueueDepth bounds each agent connection's ingress ring (default
 	// 4096); beyond it the oldest queued samples are shed.
 	QueueDepth int
+	// IdleTimeout, when positive, reaps agent connections that send no
+	// frame for that long: queued samples are still forwarded, the agent
+	// gets Error{CodeIdle}, the connection's upstreams close and
+	// cluster_conns_reaped_total is incremented. Heartbeats reset the
+	// clock. Zero disables reaping.
+	IdleTimeout time.Duration
 	// Telemetry, when non-nil, receives the cluster_* metric families.
 	Telemetry *telemetry.Registry
 	// Tracer, when non-nil, samples forwarded batches into gateway-tier
@@ -219,18 +225,15 @@ func New(cfg Config) (*Gateway, error) {
 		canarySamples:  reg.Counter("cluster_canary_samples_total"),
 	}
 	g.front = session.Front{
-		Tier:       "gateway",
-		Welcome:    g.agentWelcome,
-		Attach:     g.attach,
-		QueueDepth: filled.QueueDepth,
-		// Workers is pinned to 1: the forwarder's upstream map and stream
-		// routing state are worker-owned, and forwarding is I/O-bound — the
-		// per-stream fan-out that pays for scoring would only buy races here.
-		Workers: 1,
+		Tier:        "gateway",
+		Welcome:     g.agentWelcome,
+		Attach:      g.attach,
+		QueueDepth:  filled.QueueDepth,
+		IdleTimeout: filled.IdleTimeout,
 		Metrics: session.FrontMetrics{
 			ConnsActive: reg.Gauge("cluster_connections_active"),
 			ConnsTotal:  reg.Counter("cluster_connections_total"),
-			Reaped:      telemetry.NopCounter, // the gateway sets no idle timeout
+			Reaped:      reg.Counter("cluster_conns_reaped_total"),
 			Samples:     reg.Counter("cluster_samples_total"),
 			Shed:        reg.Counter("cluster_shed_total"),
 			ProtoErrs:   reg.Counter("cluster_protocol_errors_total"),
@@ -538,13 +541,14 @@ func (g *Gateway) attach(c *session.Conn, agent string, w wire.Welcome) (session
 
 // forwarder is the gateway's session.Handler: it relays each stream's
 // micro-batches to the shard the hash ring picked. All methods and all
-// fwdStream methods run on the engine's single worker goroutine; only the
+// fwdStream methods run on the engine's worker goroutine; only the
 // per-upstream relay goroutines run beside it.
 type forwarder struct {
 	g     *Gateway
 	c     *session.Conn
 	agent string
 	ups   map[string]*upstream // worker-owned: live upstream per shard
+	recs  []samplelog.Record   // worker-owned: reusable sample-log batch
 
 	// cascade is the gateway's compiled edge envelope when its width
 	// matches the fleet's feature width (nil otherwise — the cascade is
@@ -825,7 +829,11 @@ func (st *fwdStream) Process(b session.Batch) error {
 		if w := g.welcome.Load(); w != nil {
 			version = w.ModelVersion
 		}
-		recs := make([]samplelog.Record, len(b.Samples))
+		// AppendBatch copies the features, so the batch is reused.
+		if cap(st.f.recs) < len(b.Samples) {
+			st.f.recs = make([]samplelog.Record, len(b.Samples))
+		}
+		recs := st.f.recs[:len(b.Samples)]
 		for i := range b.Samples {
 			recs[i] = samplelog.Record{
 				Nanos:        b.Ats[i].UnixNano(),

@@ -259,7 +259,7 @@ type Report struct {
 }
 
 // Monitor accumulates live samples against a Reference. All methods are
-// safe for concurrent use — many per-stream scoring goroutines feed one
+// safe for concurrent use — every connection's scoring worker feeds one
 // monitor — with a single mutex; callers on the hot path batch through
 // ObserveBatch so the lock is taken once per micro-batch.
 type Monitor struct {

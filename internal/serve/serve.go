@@ -7,8 +7,7 @@
 //
 //	reader ──► bounded ingress ring (drop-oldest shed) ──► worker
 //	                                                        │ adaptive micro-batches,
-//	                                                        │ per-stream fan-out on
-//	                                                        │ internal/parallel
+//	                                                        │ streams scored in turn
 //	writer ◄── verdict / summary frames ◄───────────────────┘
 //
 // The accept loop, handshake, read loop, ring, worker loop,
@@ -24,8 +23,9 @@
 // writes until the ring sheds — one connection cannot consume unbounded
 // server memory. Scoring isolation follows the monitor layer's per-stream
 // ownership model: each (connection, app) stream owns its compiled
-// detector, its monitor.Monitor and its session summary, so streams score
-// concurrently without sharing scratch space or taking a lock.
+// detector, its monitor.Monitor and its session summary. Parallelism is
+// per connection: each connection's worker scores its streams one after
+// another without taking a lock, and connections score side by side.
 //
 // Graceful drain: when the Serve context is cancelled the server stops
 // accepting, closes the read side of every connection, scores and flushes
@@ -105,10 +105,6 @@ type Config struct {
 	// effective micro-batch is adaptive: whatever accumulated in the ring
 	// since the last round, up to QueueDepth.
 	MaxBatch int
-	// Workers bounds the per-round scoring fan-out across a connection's
-	// streams (default: one worker per touched stream, capped by
-	// runtime.NumCPU via internal/parallel).
-	Workers int
 	// IdleTimeout, when positive, reaps connections whose agents send no
 	// frame for that long: the read side is torn down, queued samples are
 	// still scored and flushed, an Error{CodeIdle} notice is sent, and
@@ -271,7 +267,6 @@ func New(cfg Config) (*Server, error) {
 			return hb
 		},
 		QueueDepth:  filled.QueueDepth,
-		Workers:     filled.Workers,
 		IdleTimeout: filled.IdleTimeout,
 		Metrics: session.FrontMetrics{
 			ConnsActive: reg.Gauge("serve_connections_active"),
@@ -411,6 +406,8 @@ func (s *Server) welcome() (wire.Welcome, *wire.Error) {
 type conn struct {
 	s *Server
 	c *session.Conn
+
+	recs []samplelog.Record // tap's reusable sample-log batch, worker-owned
 }
 
 // attach builds a connection's scoring handler.
@@ -457,9 +454,12 @@ func (c *conn) tap(ch session.TapChunk) {
 	}
 	if sl := c.s.cfg.SampleLog; sl != nil {
 		// One AppendBatch per chunk: per-record locking here serializes
-		// the scoring workers behind the log's mutex at full load. The
-		// chunk slice is per-call — taps run concurrently across streams.
-		recs := make([]samplelog.Record, len(ch.Samples))
+		// every connection's worker behind the log's mutex at full load.
+		// AppendBatch copies the features, so the batch is reused.
+		if cap(c.recs) < len(ch.Samples) {
+			c.recs = make([]samplelog.Record, len(ch.Samples))
+		}
+		recs := c.recs[:len(ch.Samples)]
 		for i := range ch.Samples {
 			recs[i] = samplelog.Record{
 				Nanos:        ch.Ats[i].UnixNano(),

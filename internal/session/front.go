@@ -63,9 +63,8 @@ type Front struct {
 	// Heartbeat, when non-nil, rewrites a Heartbeat before it is echoed;
 	// nil echoes it verbatim.
 	Heartbeat func(wire.Heartbeat) wire.Heartbeat
-	// QueueDepth and Workers configure each connection's Engine.
+	// QueueDepth bounds each connection's Engine ring.
 	QueueDepth int
-	Workers    int
 	// IdleTimeout, when positive, reaps connections silent that long.
 	IdleTimeout time.Duration
 	// Metrics are the tier's instruments; Log receives connection
@@ -158,7 +157,6 @@ func (f *Front) handle(ctx context.Context, nc net.Conn) {
 	eng, err := New(Config{
 		Handler:    h,
 		QueueDepth: f.QueueDepth,
-		Workers:    f.Workers,
 		OnReject:   c.reject,
 		BatchSize:  m.BatchSize,
 	})

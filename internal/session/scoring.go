@@ -35,9 +35,8 @@ type Generation struct {
 }
 
 // Emitter receives the scoring handler's output. Methods are called on
-// the engine's worker goroutines — concurrently across streams, in order
-// within one stream — so implementations serialize their shared output
-// path (the serve transport writes through Conn, which locks per frame).
+// the engine's worker goroutine, one at a time and in order within each
+// stream, so per-connection emitter state needs no lock.
 type Emitter interface {
 	// Verdicts delivers one scored chunk for stream id, bound to model
 	// epoch version: parallel slices where verdicts[i]/scores[i]/events[i]
@@ -58,7 +57,9 @@ type Emitter interface {
 // stream's identity and model epoch plus parallel slices where
 // Samples[i]/Verdicts[i]/Scores[i]/Events[i] belong to the sample
 // received at Ats[i]. All slices are engine-owned and valid only during
-// the Tap call — consumers copy what they keep.
+// the Tap call — consumers copy what they keep. Taps run on the engine's
+// worker goroutine and never overlap, so a tap may reuse per-connection
+// scratch space across calls.
 type TapChunk struct {
 	App      string
 	Stream   uint32
@@ -167,7 +168,7 @@ func (s *Scoring) RoundEnd() error { return s.cfg.Emit.Flush() }
 // scoredStream is one (connection, app) stream: its compiled detector,
 // the monitor that smooths its scores, its session summary and the
 // reusable scoring arenas. A stream is only ever touched by its engine's
-// worker goroutines, one round at a time, so none of it needs a lock.
+// worker goroutine, so none of it needs a lock.
 //
 // det, version and drft are the stream's model epoch, captured from the
 // active generation in OpenStream. A hot swap that lands mid-stream does

@@ -13,8 +13,8 @@
 //   - the control queue that carries stream opens/closes outside the
 //     sheddable data path,
 //   - the worker loop that coalesces whatever accumulated since its last
-//     round into adaptive micro-batches and fans processing out across
-//     the touched streams on internal/parallel,
+//     round into adaptive micro-batches and processes the touched streams
+//     one after another,
 //   - stream-table bookkeeping: duplicate-id/duplicate-app rejection,
 //     unknown-stream accounting, ordered open→process→close rounds.
 //
@@ -25,21 +25,19 @@
 // backend shard the consistent-hash ring picked. Both tiers therefore
 // run the identical hot path — one copy, pinned by the serve tests.
 //
-// Goroutine model (inherited from internal/serve and unchanged): one
-// reader goroutine calls Push/Open/Close, one worker goroutine runs Run,
-// and the handler's per-stream Process calls may execute concurrently
-// across *different* streams within a round but never for the same
-// stream. Handlers that share output state across streams serialize it
-// themselves; the front-end's Conn does so for its frame writer.
+// Goroutine model: one reader goroutine calls Push/Open/Close; one
+// worker goroutine runs Run and makes every Handler and Stream call, one
+// at a time, so handler state needs no lock. Parallelism is per
+// connection: each connection has its own worker. At the paper's 10 ms
+// sampling period a round holds a few samples per stream, too little
+// work to pay for a goroutine hand-off per stream.
 package session
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"time"
 
-	"twosmart/internal/parallel"
 	"twosmart/internal/telemetry"
 )
 
@@ -77,7 +75,8 @@ type Stream interface {
 }
 
 // Handler is the processing half a transport plugs into the engine.
-// All methods run on the engine's worker goroutine.
+// Its methods, and the methods of every Stream it opens, run on the
+// engine's worker goroutine and never overlap.
 type Handler interface {
 	// OpenStream is called once per accepted stream open, after the
 	// engine's duplicate-id and duplicate-app checks passed. An error
@@ -130,10 +129,6 @@ type Config struct {
 	// QueueDepth bounds the ingress ring; beyond it the oldest queued
 	// samples are shed (default 4096).
 	QueueDepth int
-	// Workers bounds the per-round processing fan-out across the
-	// session's streams (default: one worker per touched stream, capped
-	// by runtime.NumCPU via internal/parallel).
-	Workers int
 	// OnReject, when non-nil, observes per-stream protocol violations
 	// (duplicate open, unknown close, sample for an unopened stream).
 	// Called on the worker goroutine; app is empty when unknown.
@@ -276,9 +271,9 @@ func (e *Engine) Run(done <-chan struct{}) error {
 }
 
 // round runs one micro-batch round: take the control queue and drain the
-// ring as one snapshot, apply stream opens, fan processing out across the
-// touched streams, recycle the buffers, then apply stream closes and let
-// the handler flush.
+// ring as one snapshot, apply stream opens, process the touched streams
+// in first-touch order, recycle the buffers, then apply stream closes and
+// let the handler flush.
 //
 // The snapshot holds ctrlMu across the drain, so a control message the
 // reader enqueues while the ring drains waits for the next round, and so
@@ -321,16 +316,12 @@ func (e *Engine) round() error {
 			st.ats = append(st.ats, it.at)
 			st.origins = append(st.origins, it.origin)
 		}
-		// Per-stream fan-out: each stream's processing state is
-		// goroutine-isolated (see the package doc), so streams process
-		// concurrently; only the transport's output path is shared and
-		// handler-guarded. The fan-out deliberately ignores cancellation:
-		// a drain must process and flush everything already queued.
-		err := parallel.ForEach(context.Background(), len(e.touched), parallel.Options{Workers: e.cfg.Workers},
-			func(_ context.Context, i int) error {
-				st := e.touched[i]
-				return st.h.Process(Batch{Samples: st.samples, Seqs: st.seqs, Ats: st.ats, Origins: st.origins, DrainedAt: drainedAt})
-			})
+		var err error
+		for _, st := range e.touched {
+			if err = st.h.Process(Batch{Samples: st.samples, Seqs: st.seqs, Ats: st.ats, Origins: st.origins, DrainedAt: drainedAt}); err != nil {
+				break
+			}
+		}
 		for _, st := range e.touched {
 			for _, buf := range st.samples {
 				e.q.recycle(buf)
